@@ -10,7 +10,9 @@ from .clutters import MINOR_CAP, enumerate_clutters
 from .cones import qa_vertices_direct, support_hyperplanes
 from .decisions import conjecture_scan, decide_mfmc
 from .errors import (
+    ClassificationError,
     EmptyEdge,
+    InconsistencyError,
     NotAntichain,
     NotSquareFree,
     NotZeroOne,
@@ -30,6 +32,7 @@ from .reporting import (
     render_text,
     report_to_json,
     verdict_lines,
+    verdict_to_dict,
     vertex_lines,
 )
 
@@ -105,16 +108,7 @@ def _cmd_mfmc(args) -> int:
     verdict = decide_mfmc(doc.clutter(), i_max=args.imax,
                           minor_cap=args.minor_cap)
     if args.format == "json":
-        from .reporting import _witnesses_to_json
-
-        _emit(json.dumps({
-            "mfmc": verdict.mfmc, "normal": verdict.normal,
-            "integral": verdict.integral, "koenig": verdict.koenig,
-            "packing": verdict.packing, "torsion_free": verdict.torsion_free,
-            "ntf": verdict.ntf,
-            "witnesses": _witnesses_to_json(verdict.witnesses),
-            "i_max_checked": verdict.i_max_checked,
-        }, indent=2, sort_keys=True))
+        _emit(json.dumps(verdict_to_dict(verdict), indent=2, sort_keys=True))
     else:
         _emit(verdict_lines(verdict))
     return 0
@@ -159,6 +153,17 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _int_at_least(least: int):
+    """argparse type: an int no smaller than least (usage error, exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mfmckit",
@@ -171,10 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("input", nargs="?", default="-",
                             help="input file, or - for stdin")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--imax", type=int, default=3,
-                        help="largest ideal power to inspect")
-        sp.add_argument("--tdi-bound", type=int, default=0, dest="tdi_bound",
-                        help="demand bound for the duality-gap scan (0 = off)")
+        sp.add_argument("--imax", type=_int_at_least(1), default=3,
+                        help="largest ideal power to inspect (>= 1)")
         sp.add_argument("--minor-cap", type=int, default=MINOR_CAP,
                         dest="minor_cap", help="cap on minor enumeration states")
 
@@ -184,6 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         common(sp)
         sp.set_defaults(fn=fn)
+        if name == "analyze":
+            sp.add_argument("--tdi-bound", type=_int_at_least(0), default=0,
+                            dest="tdi_bound",
+                            help="demand bound for the duality-gap scan (0 = off)")
 
     sp = sub.add_parser("scan")
     common(sp, with_input=False)
@@ -203,6 +210,9 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    except (InconsistencyError, ClassificationError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ so the same type carries general monomial ideals when entries exceed 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptyEdge, NotAntichain, NotZeroOne, OverlappingSpec, SizeLimit
 

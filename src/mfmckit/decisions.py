@@ -62,11 +62,19 @@ class TdiReport:
     counterexample: TdiCounterexample = None
 
 
+def require_i_max(i_max: int):
+    """Reject power bounds that would check nothing: a verdict drawn
+    from zero powers would be vacuously true."""
+    if i_max < 1:
+        raise ValueError(f"i_max must be >= 1, got {i_max}")
+
+
 def ntf_check(c: Clutter, i_max: int = 3) -> NtfResult:
     """Compare ordinary and symbolic powers up to i_max.
 
     On the first difference returns the least symbolic generator that
     the ordinary power misses (the containment only goes one way)."""
+    require_i_max(i_max)
     for i in range(1, i_max + 1):
         ordinary = ordinary_power(c.matrix, i)
         symbolic = symbolic_power(c, i)
@@ -83,6 +91,8 @@ def tdi_bounded_check(c: Clutter, bound: int = 2) -> TdiReport:
     off the vertices of the dual feasible region {x >= 0 : x A >= 1};
     the integral optimum comes from a residual-capacity recursion.
     Stops at the first gap."""
+    if bound < 1:
+        raise ValueError(f"demand bound must be >= 1, got {bound}")
     n = c.n
     vertices = qa_vertices_direct(c.matrix).vertices
     cols = c.matrix.columns
@@ -108,6 +118,7 @@ def tdi_bounded_check(c: Clutter, bound: int = 2) -> TdiReport:
 
 def decide_mfmc(c: Clutter, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     """Full verdict for a clutter; witnesses collected for every failure."""
+    require_i_max(i_max)
     normal, normal_wit = is_normal(c.matrix)
     integral, frac_vertex = is_integral_qa(c.matrix)
     koenig_ok = koenig(c)
@@ -169,6 +180,7 @@ def integrality_equivalences(c: Clutter, i_max: int = 3) -> EquivalenceReport:
     (a) and (b) must agree exactly, and (a) forces (c) at every checked
     power; anything else raises InconsistencyError since the routes are
     supposed to compute the same thing."""
+    require_i_max(i_max)
     a, _ = is_integral_qa(c.matrix)
     fc = support_hyperplanes(c.matrix)
     cover_normals = set()

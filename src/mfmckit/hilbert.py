@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import RationalCone, _insertion_order, facet_normals, rees_cone
-from .errors import SizeLimit
+from .errors import InconsistencyError, SizeLimit
 from .linalg import det, dot, rank, smith_invariant_factors, solve_square
 
 DET_CAP = 10 ** 6
@@ -75,7 +75,9 @@ def _parallelepiped_points(simplex, dim, det_cap):
             if t2 not in group:
                 group.add(t2)
                 frontier.append(t2)
-    assert len(group) == volume, "parallelepiped group has wrong order"
+    if len(group) != volume:
+        raise InconsistencyError(
+            f"parallelepiped group has order {len(group)}, expected {volume}")
     points = []
     for t in group:
         if t == zero:
@@ -83,7 +85,8 @@ def _parallelepiped_points(simplex, dim, det_cap):
         p = []
         for i in range(dim):
             x = sum(tj * w[i] for tj, w in zip(t, simplex))
-            assert x.denominator == 1
+            if x.denominator != 1:
+                raise InconsistencyError(f"parallelepiped point coordinate {x}")
             p.append(int(x))
         points.append(tuple(p))
     return points

@@ -19,12 +19,34 @@ BOX_CAP = 2_000_000
 
 
 def minimalize(vectors):
-    """Drop duplicates and every vector dominating another one."""
-    vs = sorted(set(map(tuple, vectors)))
+    """Drop duplicates and every vector dominating another one.
+
+    A vector strictly below v has smaller total degree, so visiting by
+    degree compares each vector only against the minimal ones kept."""
+    kept = []
+    for v in sorted(set(map(tuple, vectors)), key=sum):
+        if not any(all(a <= b for a, b in zip(w, v)) for w in kept):
+            kept.append(v)
+    return tuple(sorted(kept))
+
+
+def _minimal_points(bound: int, n: int, member) -> tuple:
+    """Minimal points of an up-closed set of N^n inside {0..bound}^n.
+
+    Such a point a is minimal exactly when no a - e_k is in the set.
+    itertools.product runs in lexicographic order, so every a - e_k is
+    scanned before a; the flags record the member points seen so far,
+    indexed by scan position (a - e_k sits strides[k] places back).
+    The result is sorted."""
+    side = bound + 1
+    strides = [side ** (n - 1 - k) for k in range(n)]
+    inside = bytearray(side ** n)
     out = []
-    for v in vs:
-        if not any(w != v and all(a <= b for a, b in zip(w, v)) for w in vs):
-            out.append(v)
+    for pos, a in enumerate(itertools.product(range(side), repeat=n)):
+        if member(a):
+            inside[pos] = 1
+            if not any(x and inside[pos - s] for x, s in zip(a, strides)):
+                out.append(a)
     return tuple(out)
 
 
@@ -74,7 +96,8 @@ def _as_clutter(source) -> Clutter:
 def symbolic_power(source, i: int, cap: int = BOX_CAP) -> MonomialIdealGens:
     """I^(i): minimal exponent vectors whose weight on every minimal
     vertex cover is at least i.  Entries of minimal generators never
-    exceed i, so the (i+1)^n grid is exhaustive."""
+    exceed i, so the (i+1)^n grid is exhaustive, and the set is closed
+    upwards, so its minimal points are found locally."""
     if i < 1:
         raise ValueError("power must be >= 1")
     c = _as_clutter(source)
@@ -83,17 +106,16 @@ def symbolic_power(source, i: int, cap: int = BOX_CAP) -> MonomialIdealGens:
     total = (i + 1) ** n
     if total > cap:
         raise SizeLimit("symbolic power enumeration", total, cap)
-    hits = []
-    for a in itertools.product(range(i + 1), repeat=n):
-        if all(sum(a[v] for v in cover) >= i for cover in covers):
-            hits.append(a)
-    return MonomialIdealGens(tuple(hits))
+    return MonomialIdealGens(_minimal_points(
+        i, n, lambda a: all(sum(a[v] for v in cover) >= i for cover in covers)))
 
 
 def closure_power(m, i: int, facets=None, cap: int = BOX_CAP) -> MonomialIdealGens:
     """Integral closure of I^i: lattice points a with (a, i) in the Rees
     cone, minimalized.  Minimal generators are bounded by i * max entry,
-    so the box scan is exhaustive."""
+    so the box scan is exhaustive.  The vertex normals are non-negative
+    on the x-part (every e_k lies in the cone), so the set is closed
+    upwards and its minimal points are found locally."""
     if i < 1:
         raise ValueError("power must be >= 1")
     if facets is None:
@@ -103,8 +125,5 @@ def closure_power(m, i: int, facets=None, cap: int = BOX_CAP) -> MonomialIdealGe
     if total > cap:
         raise SizeLimit("closure power enumeration", total, cap)
     normals = [(f[:-1], -f[-1] * i) for f in facets.vertex_normals]
-    hits = []
-    for a in itertools.product(range(bound + 1), repeat=m.n):
-        if all(dot(alpha, a) >= rhs for alpha, rhs in normals):
-            hits.append(a)
-    return MonomialIdealGens(tuple(hits))
+    return MonomialIdealGens(_minimal_points(
+        bound, m.n, lambda a: all(dot(alpha, a) >= rhs for alpha, rhs in normals)))

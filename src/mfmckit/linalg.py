@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Vec = "tuple[int, ...]"
+from .errors import InconsistencyError
 
 
 def dot(u, v) -> int:
@@ -27,7 +27,8 @@ def primitive(v):
 
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
-    assert r == 0, "non-exact division in fraction-free elimination"
+    if r:
+        raise InconsistencyError("non-exact division in fraction-free elimination")
     return q
 
 

@@ -27,6 +27,7 @@ from .decisions import (
     Verdict,
     decide_mfmc,
     integrality_equivalences,
+    require_i_max,
     tdi_bounded_check,
 )
 from .errors import (
@@ -167,6 +168,7 @@ class Report:
 
 
 def powers_table(c: Clutter, i_max: int = 3):
+    require_i_max(i_max)
     fc = support_hyperplanes(c.matrix)
     out = []
     for i in range(1, i_max + 1):
@@ -185,7 +187,10 @@ def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
     The covering-polyhedron vertices are computed twice, by basic
     solutions and through the Rees cone facets; a mismatch is a bug and
     raises InconsistencyError.  integrality_equivalences adds the same
-    kind of cross-route guarantee for the power/facet readings."""
+    kind of cross-route guarantee for the power/facet readings.
+    tdi_bound = 0 skips the duality-gap scan."""
+    if tdi_bound < 0:
+        raise ValueError(f"tdi_bound must be >= 0 (0 = off), got {tdi_bound}")
     c = doc.clutter()
     verdict = decide_mfmc(c, i_max=i_max, minor_cap=minor_cap)
     basis = hilbert_basis(c.matrix)
@@ -333,9 +338,13 @@ def _witnesses_from_json(data: dict) -> dict:
     return out
 
 
+def verdict_to_dict(v: Verdict) -> dict:
+    """The verdict's fields as JSON-ready values, keyed by field name."""
+    return dict(vars(v), witnesses=_witnesses_to_json(v.witnesses))
+
+
 def report_to_dict(report: Report) -> dict:
     doc = report.document
-    v = report.verdict
     data = {
         "input": {
             "columns": [list(c) for c in doc.matrix.columns],
@@ -343,17 +352,7 @@ def report_to_dict(report: Report) -> dict:
             "mode": doc.mode,
             "source_format": doc.source_format,
         },
-        "verdict": {
-            "mfmc": v.mfmc,
-            "normal": v.normal,
-            "integral": v.integral,
-            "koenig": v.koenig,
-            "packing": v.packing,
-            "torsion_free": v.torsion_free,
-            "ntf": v.ntf,
-            "witnesses": _witnesses_to_json(v.witnesses),
-            "i_max_checked": v.i_max_checked,
-        },
+        "verdict": verdict_to_dict(report.verdict),
         "hilbert_basis": [list(z) for z in report.hilbert_basis],
         "support_hyperplanes": {
             "coordinate_indices": list(report.facets.coordinate_indices),
@@ -398,17 +397,7 @@ def report_from_dict(data: dict) -> Report:
     doc = InputDocument(matrix, tuple(inp["labels"]), inp["mode"],
                         inp["source_format"])
     dv = data["verdict"]
-    verdict = Verdict(
-        mfmc=dv["mfmc"],
-        normal=dv["normal"],
-        integral=dv["integral"],
-        koenig=dv["koenig"],
-        packing=dv["packing"],
-        torsion_free=dv["torsion_free"],
-        ntf=dv["ntf"],
-        witnesses=_witnesses_from_json(dv["witnesses"]),
-        i_max_checked=dv["i_max_checked"],
-    )
+    verdict = Verdict(**dict(dv, witnesses=_witnesses_from_json(dv["witnesses"])))
     basis = tuple(tuple(z) for z in data["hilbert_basis"])
     sh = data["support_hyperplanes"]
     fc = FacetClassification(

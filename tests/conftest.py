@@ -42,6 +42,12 @@ def triangle():
 
 
 @pytest.fixture(scope="session")
+def q6():
+    # 123, 145, 246, 356: integral covering polyhedron, not MFMC
+    return clutter_from_edges(6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
+
+
+@pytest.fixture(scope="session")
 def single_edge():
     return clutter_from_edges(1, [(0,)])
 

@@ -226,6 +226,20 @@ def decomposes(target, elements):
     return rec(tuple(target), 0)
 
 
+# ---------------------------------------------------------------- ideals
+
+
+def minimalize(vectors):
+    """Minimal elements by pairwise dominance over every vector: the
+    quadratic reference for the library's degree-ordered minimalize."""
+    vs = sorted(set(map(tuple, vectors)))
+    out = []
+    for v in vs:
+        if not any(w != v and all(a <= b for a, b in zip(w, v)) for w in vs):
+            out.append(v)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------- smith
 
 

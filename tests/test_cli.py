@@ -182,6 +182,59 @@ def test_size_limit_exit_code(capsys, reference_file):
     assert err.startswith("size limit: ")
 
 
+def test_internal_error_exit_code(capsys, reference_file, monkeypatch):
+    import mfmckit.reporting as reporting
+    from mfmckit.cones import QAPolyhedron
+    monkeypatch.setattr(reporting, "qa_vertices_via_rees",
+                        lambda m: QAPolyhedron(m, ()))
+    rc, out, err = run(capsys, ["analyze", reference_file])
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("internal error: vertex routes disagree")
+    assert "Traceback" not in err
+
+
+def test_classification_error_exit_code(capsys, reference_file, monkeypatch):
+    import mfmckit.cli as cli
+    from mfmckit.errors import ClassificationError
+
+    def broken(m):
+        raise ClassificationError("normal fits neither family")
+    monkeypatch.setattr(cli, "support_hyperplanes", broken)
+    rc, out, err = run(capsys, ["facets", reference_file])
+    assert (rc, out) == (4, "")
+    assert err == "internal error: normal fits neither family\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mfmc", "{t}", "--imax", "0"],
+    ["analyze", "{t}", "--imax", "-1"],
+    ["powers", "{t}", "--imax", "0"],
+    ["scan", "--imax", "0"],
+    ["analyze", "{t}", "--tdi-bound", "-2"],
+    ["analyze", "{t}", "--imax", "two"],
+])
+def test_vacuous_bounds_are_usage_errors(capsys, triangle_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(t=triangle_file) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--imax" in captured.err or "--tdi-bound" in captured.err
+
+
+def test_tdi_bound_only_on_analyze(capsys, triangle_file):
+    for command in ("mfmc", "powers", "facets", "hilbert", "vertices"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, triangle_file, "--tdi-bound", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tdi-bound" in capsys.readouterr().err
+    rc, out, _ = run(capsys, ["analyze", triangle_file, "--imax", "1",
+                              "--tdi-bound", "0"])
+    assert rc == 0
+    assert "tdi check" not in out
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,5 +1,7 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+
+import pytest
 
 from mfmckit.clutters import MinorSpec, packing_property
 from mfmckit.cones import qa_vertices_direct
@@ -14,8 +16,15 @@ from mfmckit.decisions import (
     tdi_bounded_check,
 )
 from mfmckit.linalg import dot
+from mfmckit.reporting import analyze, parse_input, powers_table
 
-from oracles import tdi_integral_max, tdi_rational_max
+from oracles import (
+    brute_alpha0,
+    brute_beta1,
+    brute_minimal_covers,
+    tdi_integral_max,
+    tdi_rational_max,
+)
 
 
 # ---------------------------------------------------------------- verdicts
@@ -49,6 +58,27 @@ def test_verdict_trivial_cases(single_edge, two_star):
         assert v.mfmc and v.normal and v.integral and v.koenig
         assert v.packing and v.torsion_free and v.ntf
         assert v.witnesses == {}
+
+
+def test_verdict_q6(q6):
+    # integral covering polyhedron, but the Rees algebra is not normal
+    v = decide_mfmc(q6)
+    assert v.integral and not v.normal and not v.mfmc
+    assert v.witnesses["normal"] == (1, 1, 1, 1, 1, 1, 2)
+    assert not v.koenig
+    assert v.witnesses["koenig"] == (2, 1)
+    assert brute_alpha0(q6.n, q6.edges) == 2
+    assert brute_beta1(q6.edges) == 1
+    assert not v.ntf
+    i, witness = v.witnesses["ntf"]
+    assert (i, witness) == (2, (1, 1, 1, 1, 1, 1))
+    # in I^(2): weight >= 2 on every minimal vertex cover
+    covers = brute_minimal_covers(q6.n, q6.edges)
+    assert all(sum(witness[v] for v in cov) >= 2 for cov in covers)
+    # not in I^2: no product of two edges divides it
+    cols = q6.matrix.columns
+    assert not any(all(a + b <= w for a, b, w in zip(x, y, witness))
+                   for x, y in combinations_with_replacement(cols, 2))
 
 
 def test_verdict_imax_recorded(single_edge):
@@ -94,10 +124,36 @@ def test_tdi_reference_clean(reference_clutter):
     assert rep.checked == 3 ** 5
 
 
-def test_tdi_degenerate_box(triangle):
-    rep = tdi_bounded_check(triangle, 0)
-    assert rep.checked == 1
-    assert rep.counterexample is None
+def test_tdi_rejects_degenerate_box(triangle):
+    # the box {0}^n holds only alpha = 0: "no gap" there says nothing
+    for bound in (0, -2):
+        with pytest.raises(ValueError):
+            tdi_bounded_check(triangle, bound)
+
+
+# ---------------------------------------------------------------- no vacuous verdicts
+
+
+def test_power_bounds_below_one_rejected(triangle):
+    for i_max in (0, -1):
+        with pytest.raises(ValueError):
+            ntf_check(triangle, i_max)
+        with pytest.raises(ValueError):
+            decide_mfmc(triangle, i_max=i_max)
+        with pytest.raises(ValueError):
+            integrality_equivalences(triangle, i_max)
+        with pytest.raises(ValueError):
+            powers_table(triangle, i_max)
+
+
+def test_analyze_rejects_vacuous_bounds():
+    doc = parse_input("edge a b\nedge b c\nedge a c\n")
+    with pytest.raises(ValueError):
+        analyze(doc, i_max=0)
+    with pytest.raises(ValueError):
+        analyze(doc, tdi_bound=-2)
+    # tdi_bound = 0 means the scan is off, not a scan of zero vectors
+    assert analyze(doc, i_max=1, tdi_bound=0).tdi is None
 
 
 def test_tdi_rational_side_against_enumeration(random100):

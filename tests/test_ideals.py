@@ -1,8 +1,11 @@
+import functools
 import itertools
+import random
 
 import pytest
 
-from mfmckit.clutters import ExponentMatrix
+from mfmckit.clutters import ExponentMatrix, clutter_from_edges
+from mfmckit.cones import facet_normals, rees_cone
 from mfmckit.errors import NotSquareFree, SizeLimit
 from mfmckit.ideals import (
     MonomialIdealGens,
@@ -14,7 +17,8 @@ from mfmckit.ideals import (
     symbolic_power,
 )
 
-from oracles import pth_power_closure_member
+import oracles
+from oracles import brute_minimal_covers, pth_power_closure_member
 
 TRI_SQUARED = ((0, 2, 2), (1, 1, 2), (1, 2, 1), (2, 0, 2), (2, 1, 1), (2, 2, 0))
 
@@ -26,6 +30,16 @@ def test_minimalize():
     assert minimalize([(2, 0), (1, 1), (2, 1), (1, 1)]) == ((1, 1), (2, 0))
     assert minimalize([]) == ()
     assert minimalize([(0, 0), (1, 0)]) == ((0, 0),)
+
+
+def test_minimalize_against_pairwise_oracle():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(0, 3) for _ in range(dim))
+                   for _ in range(rng.randint(0, 30))]
+        assert minimalize(vectors) == oracles.minimalize(vectors)
+        assert minimalize(map(list, vectors)) == oracles.minimalize(vectors)
 
 
 def test_gens_canonicalize():
@@ -213,3 +227,67 @@ def test_closure_is_contained_in_its_own_later_sums(triangle):
     for g in clo2.gens:
         for col in triangle.matrix.columns:
             assert membership(tuple(a + b for a, b in zip(g, col)), clo3)
+
+
+# ---------------------------------------------------------------- box scan vs oracle
+#
+# symbolic_power and closure_power keep a box point only when no
+# a - e_k is in the set; the reference minimalizes every in-set point
+# of the same box by pairwise dominance.  The closure's in-set points
+# come from the full facet list of the Rees cone (checked against
+# brute_facets in test_cones), not from the vertex-normal split.
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_gens(points):
+    # symbolic and closure box points coincide on most integral clutters
+    return oracles.minimalize(points)
+
+
+def _box(bound, n):
+    return itertools.product(range(bound + 1), repeat=n)
+
+
+def _symbolic_box_points(c, i):
+    covers = brute_minimal_covers(c.n, c.edges)
+    return tuple(a for a in _box(i, c.n)
+                 if all(sum(a[v] for v in cov) >= i for cov in covers))
+
+
+def _closure_box_points(m, i, facets):
+    return tuple(a for a in _box(i * m.max_entry(), m.n)
+                 if all(sum(f * x for f, x in zip(normal, a + (i,))) >= 0
+                        for normal in facets))
+
+
+def test_symbolic_scan_matches_pairwise_oracle(random100):
+    checked = 0
+    for c in random100:
+        for i in (1, 2, 3):
+            if (i + 1) ** c.n > 5000:
+                continue
+            expected = _oracle_gens(_symbolic_box_points(c, i))
+            assert symbolic_power(c, i).gens == expected
+            checked += 1
+    assert checked == 300
+
+
+def test_closure_scan_matches_pairwise_oracle(random100, squares_matrix,
+                                              mixed_pair_matrix):
+    mats = [c.matrix for c in random100] + [squares_matrix, mixed_pair_matrix]
+    checked = 0
+    for m in mats:
+        facets = facet_normals(rees_cone(m).cone)
+        for i in (1, 2, 3):
+            if (i * m.max_entry() + 1) ** m.n > 5000:
+                continue
+            expected = _oracle_gens(_closure_box_points(m, i, facets))
+            assert closure_power(m, i).gens == expected
+            checked += 1
+    assert checked == 306
+
+
+def test_seven_cycle_third_powers():
+    c7 = clutter_from_edges(7, [(k, (k + 1) % 7) for k in range(7)])
+    assert len(symbolic_power(c7, 3)) == 84
+    assert len(closure_power(c7.matrix, 3)) == 84

@@ -30,6 +30,15 @@ def test_dot():
     assert dot((), ()) == 0
 
 
+def test_inexact_division_is_an_inconsistency():
+    # a raised error, not an assert, so python -O keeps the check
+    from mfmckit.errors import InconsistencyError
+    from mfmckit.linalg import _exact_div
+    assert _exact_div(12, -4) == -3
+    with pytest.raises(InconsistencyError):
+        _exact_div(7, 2)
+
+
 def test_primitive_reduces_gcd():
     assert primitive((2, 4, -6)) == (1, 2, -3)
     assert primitive((0, 0, 5)) == (0, 0, 1)
