@@ -24,16 +24,19 @@ from .errors import (
 from .hilbert import hilbert_basis
 from .reporting import (
     analyze,
+    facets_to_dict,
     generator_block,
     hyperplane_block,
     parse_input,
     powers_lines,
     powers_table,
+    powers_to_list,
     render_text,
     report_to_json,
     verdict_lines,
     verdict_to_dict,
     vertex_lines,
+    vertices_to_list,
 )
 
 INPUT_ERRORS = (ParseError, NotZeroOne, NotAntichain, EmptyEdge,
@@ -64,10 +67,7 @@ def _cmd_facets(args) -> int:
     doc = parse_input(_read(args.input))
     fc = support_hyperplanes(doc.matrix)
     if args.format == "json":
-        _emit(json.dumps({
-            "coordinate_indices": list(fc.coordinate_indices),
-            "vertex_normals": [list(f) for f in fc.vertex_normals],
-        }, indent=2, sort_keys=True))
+        _emit(json.dumps(facets_to_dict(fc), indent=2, sort_keys=True))
     else:
         _emit(hyperplane_block(fc.all_rows()))
     return 0
@@ -87,7 +87,7 @@ def _cmd_vertices(args) -> int:
     doc = parse_input(_read(args.input))
     qa = qa_vertices_direct(doc.matrix)
     if args.format == "json":
-        _emit(json.dumps([[str(x) for x in v] for v in qa.vertices], indent=2))
+        _emit(json.dumps(vertices_to_list(qa.vertices), indent=2))
     else:
         _emit(vertex_lines(qa.vertices))
     return 0
@@ -97,7 +97,7 @@ def _cmd_powers(args) -> int:
     doc = parse_input(_read(args.input))
     rows = powers_table(doc.clutter(), args.imax)
     if args.format == "json":
-        _emit(json.dumps([vars(r) for r in rows], indent=2))
+        _emit(json.dumps(powers_to_list(rows), indent=2))
     else:
         _emit(powers_lines(rows))
     return 0
@@ -116,7 +116,7 @@ def _cmd_mfmc(args) -> int:
 
 def _cmd_scan(args) -> int:
     family = enumerate_clutters(args.max_vertices, args.max_edges)
-    report = conjecture_scan(family, i_max=args.imax)
+    report = conjecture_scan(family)
     note = "bounded evidence only; the underlying conjectures stay open"
     if args.format == "json":
         _emit(json.dumps({
@@ -164,6 +164,21 @@ def _int_at_least(least: int):
     return parse
 
 
+# Every subcommand argument; build_parser gives each only those its handler reads.
+ARGUMENTS = {
+    "input": dict(nargs="?", default="-", help="input file, or - for stdin"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--imax": dict(type=_int_at_least(1), default=3,
+                   help="largest ideal power to inspect (>= 1)"),
+    "--minor-cap": dict(type=_int_at_least(1), default=MINOR_CAP,
+                        help="cap on minor enumeration states"),
+    "--tdi-bound": dict(type=_int_at_least(0), default=0,
+                        help="demand bound for the duality-gap scan (0 = off)"),
+    "--max-vertices": dict(type=_int_at_least(1), default=4),
+    "--max-edges": dict(type=_int_at_least(1), default=4),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mfmckit",
@@ -171,32 +186,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_input=True):
-        if with_input:
-            sp.add_argument("input", nargs="?", default="-",
-                            help="input file, or - for stdin")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--imax", type=_int_at_least(1), default=3,
-                        help="largest ideal power to inspect (>= 1)")
-        sp.add_argument("--minor-cap", type=int, default=MINOR_CAP,
-                        dest="minor_cap", help="cap on minor enumeration states")
-
-    for name, fn in [("analyze", _cmd_analyze), ("facets", _cmd_facets),
-                     ("hilbert", _cmd_hilbert), ("vertices", _cmd_vertices),
-                     ("powers", _cmd_powers), ("mfmc", _cmd_mfmc)]:
+    def command(name, fn, *arguments):
         sp = sub.add_parser(name)
-        common(sp)
+        for arg in arguments:
+            sp.add_argument(arg, **ARGUMENTS[arg])
         sp.set_defaults(fn=fn)
-        if name == "analyze":
-            sp.add_argument("--tdi-bound", type=_int_at_least(0), default=0,
-                            dest="tdi_bound",
-                            help="demand bound for the duality-gap scan (0 = off)")
 
-    sp = sub.add_parser("scan")
-    common(sp, with_input=False)
-    sp.add_argument("--max-vertices", type=int, default=4, dest="max_vertices")
-    sp.add_argument("--max-edges", type=int, default=4, dest="max_edges")
-    sp.set_defaults(fn=_cmd_scan)
+    command("analyze", _cmd_analyze, "input", "--format", "--imax",
+            "--minor-cap", "--tdi-bound")
+    command("facets", _cmd_facets, "input", "--format")
+    command("hilbert", _cmd_hilbert, "input", "--format")
+    command("vertices", _cmd_vertices, "input", "--format")
+    command("powers", _cmd_powers, "input", "--format", "--imax")
+    command("mfmc", _cmd_mfmc, "input", "--format", "--imax", "--minor-cap")
+    command("scan", _cmd_scan, "--format", "--max-vertices", "--max-edges")
     return p
 
 

@@ -15,7 +15,6 @@ from .clutters import (
     Clutter,
     MINOR_CAP,
     covering_number,
-    koenig,
     matching_number,
     minimal_vertex_covers,
     packing_property,
@@ -121,7 +120,7 @@ def decide_mfmc(c: Clutter, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdi
     require_i_max(i_max)
     normal, normal_wit = is_normal(c.matrix)
     integral, frac_vertex = is_integral_qa(c.matrix)
-    koenig_ok = koenig(c)
+    covering, matching = covering_number(c), matching_number(c)
     packing_ok, packing_wit = packing_property(c, minor_cap)
     smith = smith_invariants(c.matrix)
     ntf = ntf_check(c, i_max)
@@ -130,8 +129,8 @@ def decide_mfmc(c: Clutter, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdi
         witnesses["normal"] = normal_wit
     if not integral:
         witnesses["integral"] = frac_vertex
-    if not koenig_ok:
-        witnesses["koenig"] = (covering_number(c), matching_number(c))
+    if covering != matching:
+        witnesses["koenig"] = (covering, matching)
     if not packing_ok:
         witnesses["packing"] = packing_wit
     if not smith.torsion_free:
@@ -142,7 +141,7 @@ def decide_mfmc(c: Clutter, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdi
         mfmc=normal and integral,
         normal=normal,
         integral=integral,
-        koenig=koenig_ok,
+        koenig=covering == matching,
         packing=packing_ok,
         torsion_free=smith.torsion_free,
         ntf=ntf.ok,
@@ -220,7 +219,7 @@ class ScanReport:
         return not self.reduced_counterexamples and not self.torsion_counterexamples
 
 
-def conjecture_scan(family, i_max: int = 3) -> ScanReport:
+def conjecture_scan(family) -> ScanReport:
     """Bounded evidence scan over a family of clutters.
 
     Packing clutters are tested for a reduced associated graded ring;

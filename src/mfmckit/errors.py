@@ -10,9 +10,10 @@ class MfmcError(Exception):
 class NotZeroOne(MfmcError):
     """A matrix entry outside {0, 1} where a clutter was required."""
 
-    def __init__(self, row: int, col: int, value: int):
-        self.row, self.col, self.value = row, col, value
-        super().__init__(f"entry {value} at row {row}, column {col} is not 0/1")
+    def __init__(self, row: int, col: int, value: int, line: int = None):
+        self.row, self.col, self.value, self.line = row, col, value, line
+        at = "" if line is None else f"line {line}: "
+        super().__init__(f"{at}entry {value} at row {row}, column {col} is not 0/1")
 
 
 class NotAntichain(MfmcError):

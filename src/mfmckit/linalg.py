@@ -32,6 +32,30 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+def _bareiss(a) -> int:
+    """Fraction-free forward elimination of the n x n block of a, in place
+    (columns past n ride along); the row-swap sign, or 0 if singular."""
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        piv = a[k][k]
+        cols = range(k + 1, len(a[k]))
+        for i in range(k + 1, n):
+            f = a[i][k]
+            ai, ak = a[i], a[k]
+            for j in cols:
+                ai[j] = _exact_div(piv * ai[j] - f * ak[j], prev)
+            ai[k] = 0
+        prev = piv
+    return sign
+
+
 def solve_square(rows, rhs):
     """Solve an integer square system exactly.
 
@@ -41,21 +65,8 @@ def solve_square(rows, rhs):
     """
     n = len(rows)
     a = [list(row) + [b] for row, b in zip(rows, rhs)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if p is None:
-            return None
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            ai, ak = a[i], a[k]
-            for j in range(k + 1, n + 1):
-                ai[j] = _exact_div(piv * ai[j] - f * ak[j], prev)
-            ai[k] = 0
-        prev = piv
+    if not _bareiss(a):
+        return None
     xs = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
         s = Fraction(a[i][n])
@@ -102,23 +113,7 @@ def det(rows) -> int:
     if n == 0:
         return 1
     a = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        p = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if p is None:
-            return 0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            ai, ak = a[i], a[k]
-            for j in range(k + 1, n):
-                ai[j] = _exact_div(piv * ai[j] - f * ak[j], prev)
-            ai[k] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
+    return _bareiss(a) * a[n - 1][n - 1]
 
 
 def smith_invariant_factors(rows):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 from fractions import Fraction
 
@@ -33,6 +33,7 @@ from .decisions import (
 from .errors import (
     DimensionMismatch,
     InconsistencyError,
+    NotZeroOne,
     ParseError,
     UnsupportedMode,
 )
@@ -48,8 +49,14 @@ class InputDocument:
     labels: tuple
     mode: str
     source_format: str
+    # (input line, generator) in input order; the matrix sorts its columns
+    source_rows: tuple = field(default=(), compare=False, repr=False)
 
     def clutter(self) -> Clutter:
+        for r, (line, row) in enumerate(self.source_rows):
+            for col, x in enumerate(row):
+                if x not in (0, 1):
+                    raise NotZeroOne(r, col, x, line)
         return Clutter(self.matrix, self.labels)
 
 
@@ -92,15 +99,15 @@ def _parse_normaliz(lines) -> InputDocument:
             raise ParseError(no, "non-integer entry") from None
         if any(x < 0 for x in row):
             raise ParseError(no, "negative entry")
-        rows.append(row)
+        rows.append((no, row))
     no, mode = take_int_line("mode digit")
     if mode != 3:
         raise UnsupportedMode(no, f"mode {mode} is not supported (only 3)")
     if pos < len(stream):
         raise ParseError(stream[pos][0], "unexpected trailing content")
-    matrix = ExponentMatrix(tuple(rows))
+    matrix = ExponentMatrix(tuple(row for _, row in rows))
     labels = tuple(f"x{i + 1}" for i in range(n))
-    return InputDocument(matrix, labels, REES_MODE, "normaliz")
+    return InputDocument(matrix, labels, REES_MODE, "normaliz", tuple(rows))
 
 
 def _parse_native(lines) -> InputDocument:
@@ -237,9 +244,7 @@ def verdict_lines(v: Verdict) -> str:
         line = f"{k}: {_bool(getattr(v, k))}"
         if k in v.witnesses:
             w = v.witnesses[k]
-            if k == "integral":
-                line += "   witness: " + " ".join(str(x) for x in w)
-            elif k == "normal":
+            if k in ("integral", "normal"):
                 line += "   witness: " + " ".join(str(x) for x in w)
             elif k == "packing":
                 line += (f"   witness: zeros={list(w.zeros)}"
@@ -306,6 +311,19 @@ def _frac_str(x) -> str:
     return str(Fraction(x))
 
 
+def facets_to_dict(fc: FacetClassification) -> dict:
+    return {"coordinate_indices": list(fc.coordinate_indices),
+            "vertex_normals": [list(f) for f in fc.vertex_normals]}
+
+
+def vertices_to_list(vertices) -> list:
+    return [[_frac_str(x) for x in v] for v in vertices]
+
+
+def powers_to_list(rows) -> list:
+    return [asdict(r) for r in rows]
+
+
 def _witnesses_to_json(w: dict) -> dict:
     out = {}
     for k, v in w.items():
@@ -354,23 +372,9 @@ def report_to_dict(report: Report) -> dict:
         },
         "verdict": verdict_to_dict(report.verdict),
         "hilbert_basis": [list(z) for z in report.hilbert_basis],
-        "support_hyperplanes": {
-            "coordinate_indices": list(report.facets.coordinate_indices),
-            "vertex_normals": [list(f) for f in report.facets.vertex_normals],
-        },
-        "vertices": [[_frac_str(x) for x in vv] for vv in report.vertices.vertices],
-        "powers": [
-            {
-                "i": r.i,
-                "ordinary": r.ordinary,
-                "symbolic": r.symbolic,
-                "closure": r.closure,
-                "ordinary_eq_symbolic": r.ordinary_eq_symbolic,
-                "closure_eq_symbolic": r.closure_eq_symbolic,
-                "ordinary_eq_closure": r.ordinary_eq_closure,
-            }
-            for r in report.powers
-        ],
+        "support_hyperplanes": facets_to_dict(report.facets),
+        "vertices": vertices_to_list(report.vertices.vertices),
+        "powers": powers_to_list(report.powers),
         "tdi": None,
     }
     if report.tdi is not None:
@@ -408,12 +412,7 @@ def report_from_dict(data: dict) -> Report:
     vertices = QAPolyhedron(
         matrix, tuple(tuple(Fraction(s) for s in vv) for vv in data["vertices"])
     )
-    powers = tuple(
-        PowerRow(r["i"], r["ordinary"], r["symbolic"], r["closure"],
-                 r["ordinary_eq_symbolic"], r["closure_eq_symbolic"],
-                 r["ordinary_eq_closure"])
-        for r in data["powers"]
-    )
+    powers = tuple(PowerRow(**r) for r in data["powers"])
     tdi = None
     if data.get("tdi") is not None:
         t = data["tdi"]

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -8,6 +9,19 @@ from mfmckit.cli import main
 from test_reporting import REFERENCE_INPUT, REFERENCE_TEXT
 
 TRIANGLE_NATIVE = "edge a b\nedge b c\nedge a c\n"
+Q6_NATIVE = "edge 1 2 3\nedge 1 4 5\nedge 2 4 6\nedge 3 5 6\n"
+
+# the flags each subcommand's handler reads
+READS = {
+    "analyze": ("--format", "--imax", "--minor-cap", "--tdi-bound"),
+    "facets": ("--format",),
+    "hilbert": ("--format",),
+    "vertices": ("--format",),
+    "powers": ("--format", "--imax"),
+    "mfmc": ("--format", "--imax", "--minor-cap"),
+    "scan": ("--format", "--max-vertices", "--max-edges"),
+}
+FLAGS = sorted({flag for flags in READS.values() for flag in flags})
 
 
 @pytest.fixture
@@ -210,9 +224,12 @@ def test_classification_error_exit_code(capsys, reference_file, monkeypatch):
     ["mfmc", "{t}", "--imax", "0"],
     ["analyze", "{t}", "--imax", "-1"],
     ["powers", "{t}", "--imax", "0"],
-    ["scan", "--imax", "0"],
     ["analyze", "{t}", "--tdi-bound", "-2"],
     ["analyze", "{t}", "--imax", "two"],
+    ["scan", "--max-vertices", "0"],
+    ["scan", "--max-edges", "0"],
+    ["mfmc", "{t}", "--minor-cap", "-5"],
+    ["analyze", "{t}", "--minor-cap", "0"],
 ])
 def test_vacuous_bounds_are_usage_errors(capsys, triangle_file, argv):
     with pytest.raises(SystemExit) as exc:
@@ -220,7 +237,56 @@ def test_vacuous_bounds_are_usage_errors(capsys, triangle_file, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--imax" in captured.err or "--tdi-bound" in captured.err
+    assert f"argument {argv[-2]}: " in captured.err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in READS for flag in FLAGS
+    if flag not in READS[command]])
+def test_unread_flags_are_usage_errors(capsys, triangle_file, command, flag):
+    # the value 0 makes (scan, --imax) the case scan --imax 0: the flag
+    # itself must be rejected, not its value
+    argv = [command] + ([] if command == "scan" else [triangle_file])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} 0" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_subcommand_takes_the_flags_it_reads(capsys, triangle_file, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", *READS[command]}
+    values = {"--format": "json", "--imax": "1", "--minor-cap": "1000",
+              "--tdi-bound": "1", "--max-vertices": "2", "--max-edges": "2"}
+    argv = [command] + ([] if command == "scan" else [triangle_file])
+    argv += [x for flag in READS[command] for x in (flag, values[flag])]
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    json.loads(out)
+
+
+@pytest.mark.parametrize("text", [TRIANGLE_NATIVE, Q6_NATIVE, REFERENCE_INPUT])
+def test_subcommand_json_matches_analyze(capsys, tmp_path, text):
+    path = tmp_path / "clutter.in"
+    path.write_text(text)
+
+    def json_of(*argv):
+        rc, out, _ = run(capsys, [argv[0], str(path), "--format", "json", *argv[1:]])
+        assert rc == 0
+        return json.loads(out)
+
+    report = json_of("analyze")
+    assert json_of("facets") == report["support_hyperplanes"]
+    assert json_of("vertices") == report["vertices"]
+    assert json_of("hilbert") == report["hilbert_basis"]
+    assert json_of("powers", "--imax", "3") == report["powers"]
+    assert json_of("mfmc") == report["verdict"]
 
 
 def test_tdi_bound_only_on_analyze(capsys, triangle_file):

@@ -64,6 +64,37 @@ def test_solve_square_exact_fractions():
     assert sol == (Fraction(1, 2), Fraction(1, 4))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 3], [1, 2, 3], [0, 1, 1]],  # duplicate row
+    [[0, 1, 2], [0, 3, 4], [0, 5, 7]],  # zero column
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # pivot missing only at the last step
+    [[1, 2], [2, 4]],
+    [[0, 1], [1, 0]],  # one row swap
+    [[0, 0, 1], [0, 2, 0], [3, 0, 0]],
+    [[1, 1, 1], [1, 1, 2], [1, 2, 1]],  # swap at the second step
+    [[0, 2, 1, 0], [0, 0, 3, 1], [1, 0, 0, 2], [0, 1, 0, 0]],  # several swaps
+])
+def test_det_and_solve_share_one_elimination(rows):
+    rhs = [k + 1 for k in range(len(rows))]
+    d, x = det(rows), solve_square(rows, rhs)
+    assert d == frac_det(rows) and x == frac_solve(rows, rhs)
+    assert (d == 0) == (x is None)
+
+
+def test_det_zero_exactly_when_solve_fails():
+    singular = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = seed % 4 + 1
+        rows = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        rhs = [rng.randint(-2, 2) for _ in range(n)]
+        d, x = det(rows), solve_square(rows, rhs)
+        assert d == frac_det(rows) and x == frac_solve(rows, rhs)
+        assert (d == 0) == (x is None)
+        singular += d == 0
+    assert 30 < singular < 270  # both branches are exercised
+
+
 def test_rank_against_rational_elimination():
     for seed in range(80):
         rng = random.Random(seed)

@@ -28,6 +28,7 @@ from mfmckit.cones import (
 from mfmckit.hilbert import hilbert_basis, semigroup_member, smith_invariants
 from mfmckit.ideals import closure_power, membership, ordinary_power, symbolic_power
 from mfmckit.linalg import dot
+from mfmckit.reporting import analyze, parse_input, report_from_json, report_to_json
 
 from oracles import brute_alpha0, brute_beta1, decomposes, tdi_integral_max
 
@@ -187,3 +188,21 @@ def test_clutter_round_trip(c):
     rebuilt = clutter_from_edges(c.n, [list(e) for e in c.edges])
     assert rebuilt == c
     assert Clutter(c.matrix, c.labels) == c
+
+
+def _as_text(c: Clutter, dialect: str) -> str:
+    if dialect == "native":
+        return "".join("edge " + " ".join(f"v{i + 1}" for i in e) + "\n"
+                       for e in c.edges)
+    rows = [" ".join(map(str, col)) for col in c.matrix.columns]
+    return "\n".join([str(c.q), str(c.n), *rows, "3"]) + "\n"
+
+
+@settings(max_examples=20, deadline=None)
+@given(clutters(max_n=3, max_q=3), st.sampled_from(["native", "normaliz"]),
+       st.integers(1, 2), st.integers(0, 1))
+def test_report_json_round_trip(c, dialect, i_max, tdi_bound):
+    doc = parse_input(_as_text(c, dialect))
+    assert doc.source_format == dialect and doc.matrix == c.matrix
+    report = analyze(doc, i_max=i_max, tdi_bound=tdi_bound)
+    assert report_from_json(report_to_json(report)) == report

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mfmckit.errors import DimensionMismatch, ParseError, UnsupportedMode
+from mfmckit.errors import DimensionMismatch, NotZeroOne, ParseError, UnsupportedMode
 from mfmckit.reporting import (
     analyze,
     generator_block,
@@ -131,6 +131,16 @@ def test_parse_errors_carry_line_numbers():
 
     with pytest.raises(DimensionMismatch):
         parse_input("0\n2\n3\n")
+
+
+def test_entry_error_names_the_input_line():
+    # the matrix sorts (2, 0) after (0, 1); the error must still point
+    # at the first data row, on line 3
+    doc = parse_input("2\n2\n2 0\n0 1\n3\n")
+    with pytest.raises(NotZeroOne) as exc:
+        doc.clutter()
+    assert (exc.value.line, exc.value.row, exc.value.col, exc.value.value) == (3, 0, 0, 2)
+    assert str(exc.value) == "line 3: entry 2 at row 0, column 0 is not 0/1"
 
 
 def test_parse_rejects_junk():
