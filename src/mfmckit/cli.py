@@ -24,6 +24,7 @@ from .errors import (
 from .hilbert import hilbert_basis
 from .reporting import (
     analyze,
+    basis_to_list,
     facets_to_dict,
     generator_block,
     hyperplane_block,
@@ -32,7 +33,8 @@ from .reporting import (
     powers_table,
     powers_to_list,
     render_text,
-    report_to_json,
+    report_to_dict,
+    scan_to_dict,
     verdict_lines,
     verdict_to_dict,
     vertex_lines,
@@ -54,63 +56,16 @@ def _emit(text: str):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _cmd_analyze(args) -> int:
-    doc = parse_input(_read(args.input))
-    report = analyze(doc, i_max=args.imax, tdi_bound=args.tdi_bound,
-                     minor_cap=args.minor_cap)
-    _emit(report_to_json(report) if args.format == "json"
-          else render_text(report))
-    return 0
-
-
-def _cmd_facets(args) -> int:
-    doc = parse_input(_read(args.input))
-    fc = support_hyperplanes(doc.matrix)
+def _cmd_view(args) -> int:
+    """Print the JSON or text form of the object computed from the input."""
+    compute, to_json, to_text = args.view
+    obj = compute(parse_input(_read(args.input)), args)
     if args.format == "json":
-        _emit(json.dumps(facets_to_dict(fc), indent=2, sort_keys=True))
+        data = to_json(obj)
+        # objects print with sorted keys, lists (and so power rows) in order
+        _emit(json.dumps(data, indent=2, sort_keys=isinstance(data, dict)))
     else:
-        _emit(hyperplane_block(fc.all_rows()))
-    return 0
-
-
-def _cmd_hilbert(args) -> int:
-    doc = parse_input(_read(args.input))
-    basis = hilbert_basis(doc.matrix)
-    if args.format == "json":
-        _emit(json.dumps([list(z) for z in basis], indent=2))
-    else:
-        _emit(generator_block(basis))
-    return 0
-
-
-def _cmd_vertices(args) -> int:
-    doc = parse_input(_read(args.input))
-    qa = qa_vertices_direct(doc.matrix)
-    if args.format == "json":
-        _emit(json.dumps(vertices_to_list(qa.vertices), indent=2))
-    else:
-        _emit(vertex_lines(qa.vertices))
-    return 0
-
-
-def _cmd_powers(args) -> int:
-    doc = parse_input(_read(args.input))
-    rows = powers_table(doc.clutter(), args.imax)
-    if args.format == "json":
-        _emit(json.dumps(powers_to_list(rows), indent=2))
-    else:
-        _emit(powers_lines(rows))
-    return 0
-
-
-def _cmd_mfmc(args) -> int:
-    doc = parse_input(_read(args.input))
-    verdict = decide_mfmc(doc.clutter(), i_max=args.imax,
-                          minor_cap=args.minor_cap)
-    if args.format == "json":
-        _emit(json.dumps(verdict_to_dict(verdict), indent=2, sort_keys=True))
-    else:
-        _emit(verdict_lines(verdict))
+        _emit(to_text(obj))
     return 0
 
 
@@ -119,20 +74,7 @@ def _cmd_scan(args) -> int:
     report = conjecture_scan(family)
     note = "bounded evidence only; the underlying conjectures stay open"
     if args.format == "json":
-        _emit(json.dumps({
-            "total": report.total,
-            "packing_true": report.packing_true,
-            "reduced_confirmed": report.reduced_confirmed,
-            "reduced_counterexamples": [
-                [list(e) for e in c.edges] for c in report.reduced_counterexamples
-            ],
-            "uniform_tested": report.uniform_tested,
-            "torsion_free_confirmed": report.torsion_free_confirmed,
-            "torsion_counterexamples": [
-                [list(e) for e in c.edges] for c in report.torsion_counterexamples
-            ],
-            "note": note,
-        }, indent=2, sort_keys=True))
+        _emit(json.dumps(dict(scan_to_dict(report), note=note), indent=2, sort_keys=True))
     else:
         lines = [
             f"scanned {report.total} clutters "
@@ -186,19 +128,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, *arguments):
+    def command(name, fn, *arguments, **defaults):
         sp = sub.add_parser(name)
         for arg in arguments:
             sp.add_argument(arg, **ARGUMENTS[arg])
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, **defaults)
 
-    command("analyze", _cmd_analyze, "input", "--format", "--imax",
-            "--minor-cap", "--tdi-bound")
-    command("facets", _cmd_facets, "input", "--format")
-    command("hilbert", _cmd_hilbert, "input", "--format")
-    command("vertices", _cmd_vertices, "input", "--format")
-    command("powers", _cmd_powers, "input", "--format", "--imax")
-    command("mfmc", _cmd_mfmc, "input", "--format", "--imax", "--minor-cap")
+    def view(name, compute, to_json, to_text, *arguments):
+        command(name, _cmd_view, "input", "--format", *arguments,
+                view=(compute, to_json, to_text))
+
+    view("analyze", lambda doc, a: analyze(doc, a.imax, a.tdi_bound, a.minor_cap),
+         report_to_dict, render_text, "--imax", "--minor-cap", "--tdi-bound")
+    view("facets", lambda doc, a: support_hyperplanes(doc.matrix),
+         facets_to_dict, lambda fc: hyperplane_block(fc.all_rows()))
+    view("hilbert", lambda doc, a: hilbert_basis(doc.matrix),
+         basis_to_list, generator_block)
+    view("vertices", lambda doc, a: qa_vertices_direct(doc.matrix).vertices,
+         vertices_to_list, vertex_lines)
+    view("powers", lambda doc, a: powers_table(doc.clutter(), a.imax),
+         powers_to_list, powers_lines, "--imax")
+    view("mfmc", lambda doc, a: decide_mfmc(doc.clutter(), a.imax, a.minor_cap),
+         verdict_to_dict, verdict_lines, "--imax", "--minor-cap")
     command("scan", _cmd_scan, "--format", "--max-vertices", "--max-edges")
     return p
 

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 from .errors import EmptyEdge, NotAntichain, NotZeroOne, OverlappingSpec, SizeLimit
 
 MINOR_CAP = 3 ** 12
+ENUMERATION_CAP = 1_000_000
 
 
 def _check_antichain(columns):
@@ -274,11 +276,22 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
     most max_edges edges, in a deterministic order.
 
     Isolated vertices are disallowed, so each family appears exactly
-    once (at the vertex count it actually uses)."""
+    once (at the vertex count it actually uses).  The walk visits
+    C(2^n - 1, k) candidate families for each n and k <= max_edges; their
+    count, summed vertex count by vertex count until it passes the cap,
+    must stay within ENUMERATION_CAP."""
+    candidates = 0
+    for n in range(1, max_vertices + 1):
+        if candidates > ENUMERATION_CAP:
+            break
+        subsets = 2 ** n - 1
+        candidates += sum(comb(subsets, k) for k in range(1, min(max_edges, subsets) + 1))
+    if candidates > ENUMERATION_CAP:
+        raise SizeLimit("clutter enumeration", candidates, ENUMERATION_CAP)
     for n in range(1, max_vertices + 1):
         subsets = [tuple(e) for k in range(1, n + 1)
                    for e in itertools.combinations(range(n), k)]
-        for count in range(1, max_edges + 1):
+        for count in range(1, min(max_edges, len(subsets)) + 1):
             for family in itertools.combinations(subsets, count):
                 sets = [set(e) for e in family]
                 if any(a <= b for a, b in itertools.permutations(sets, 2)):

@@ -267,10 +267,11 @@ def qa_vertices_via_rees(m) -> QAPolyhedron:
     return QAPolyhedron(m, support_hyperplanes(m).qa_vertices())
 
 
-def is_integral_qa(m, cap: int = QA_ENUM_CAP):
+def is_integral_qa(m, vertices=None):
     """(True, None) when all covering-polyhedron vertices are integral,
-    else (False, lexicographically least fractional vertex)."""
-    for v in qa_vertices_direct(m, cap).vertices:
+    else (False, lexicographically least fractional vertex).  vertices,
+    when given, is m's sorted vertex set, already computed."""
+    for v in vertices or qa_vertices_direct(m).vertices:
         if any(x.denominator != 1 for x in v):
             return False, v
     return True, None

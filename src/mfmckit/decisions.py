@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .clutters import (
     Clutter,
@@ -20,10 +21,50 @@ from .clutters import (
     packing_property,
 )
 from .cones import is_integral_qa, qa_vertices_direct, support_hyperplanes
-from .errors import InconsistencyError
-from .hilbert import is_normal, smith_invariants
+from .errors import InconsistencyError, SizeLimit
+from .hilbert import hilbert_basis, is_normal, smith_invariants
 from .ideals import closure_power, ideal_equal, membership, ordinary_power, symbolic_power
 from .linalg import dot
+
+TDI_BOX_CAP = 1_000_000
+
+
+class Analysis:
+    """The Rees-cone objects of one clutter, each computed on first use
+    and kept: the facets, the covering-polyhedron vertices (by basic
+    solutions, sorted), the Hilbert basis and the power ideals."""
+
+    POWERS = {
+        "ordinary": lambda a, i: ordinary_power(a.clutter.matrix, i),
+        "symbolic": lambda a, i: symbolic_power(a.clutter, i),
+        "closure": lambda a, i: closure_power(a.clutter.matrix, i, a.facets),
+    }
+
+    def __init__(self, c: Clutter):
+        self.clutter = c
+        self._powers = {}
+
+    @cached_property
+    def facets(self):
+        return support_hyperplanes(self.clutter.matrix)
+
+    @cached_property
+    def vertices(self) -> tuple:
+        return qa_vertices_direct(self.clutter.matrix).vertices
+
+    @cached_property
+    def basis(self) -> tuple:
+        return hilbert_basis(self.clutter.matrix)
+
+    def power(self, kind: str, i: int):
+        """I^i, I^(i) or the integral closure of I^i, by kind in POWERS."""
+        if (kind, i) not in self._powers:
+            self._powers[kind, i] = self.POWERS[kind](self, i)
+        return self._powers[kind, i]
+
+
+def as_analysis(source) -> Analysis:
+    return source if isinstance(source, Analysis) else Analysis(source)
 
 
 @dataclass(frozen=True)
@@ -68,22 +109,23 @@ def require_i_max(i_max: int):
         raise ValueError(f"i_max must be >= 1, got {i_max}")
 
 
-def ntf_check(c: Clutter, i_max: int = 3) -> NtfResult:
+def ntf_check(source, i_max: int = 3) -> NtfResult:
     """Compare ordinary and symbolic powers up to i_max.
 
     On the first difference returns the least symbolic generator that
     the ordinary power misses (the containment only goes one way)."""
     require_i_max(i_max)
+    a = as_analysis(source)
     for i in range(1, i_max + 1):
-        ordinary = ordinary_power(c.matrix, i)
-        symbolic = symbolic_power(c, i)
+        ordinary = a.power("ordinary", i)
+        symbolic = a.power("symbolic", i)
         if not ideal_equal(ordinary, symbolic):
             witness = next(g for g in symbolic.gens if not membership(g, ordinary))
             return NtfResult(False, i, witness)
     return NtfResult(True)
 
 
-def tdi_bounded_check(c: Clutter, bound: int = 2) -> TdiReport:
+def tdi_bounded_check(source, bound: int = 2) -> TdiReport:
     """Exact duality-gap scan over the demand box {0..bound}^n.
 
     The rational optimum of max{<1,y> : y >= 0, A y <= alpha} is read
@@ -92,9 +134,11 @@ def tdi_bounded_check(c: Clutter, bound: int = 2) -> TdiReport:
     Stops at the first gap."""
     if bound < 1:
         raise ValueError(f"demand bound must be >= 1, got {bound}")
-    n = c.n
-    vertices = qa_vertices_direct(c.matrix).vertices
-    cols = c.matrix.columns
+    a = as_analysis(source)
+    n = a.clutter.n
+    if (bound + 1) ** n > TDI_BOX_CAP:
+        raise SizeLimit("tdi demand box", (bound + 1) ** n, TDI_BOX_CAP)
+    cols = a.clutter.matrix.columns
     best = {}
     grid = list(itertools.product(range(bound + 1), repeat=n))
     for r in grid:
@@ -108,22 +152,24 @@ def tdi_bounded_check(c: Clutter, bound: int = 2) -> TdiReport:
     checked = 0
     for alpha in grid:
         checked += 1
-        rational = min(dot(alpha, v) for v in vertices)
+        rational = min(dot(alpha, v) for v in a.vertices)
         if best[alpha] < rational:
             return TdiReport(bound, checked,
                              TdiCounterexample(alpha, rational, best[alpha]))
     return TdiReport(bound, checked)
 
 
-def decide_mfmc(c: Clutter, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
+def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     """Full verdict for a clutter; witnesses collected for every failure."""
     require_i_max(i_max)
-    normal, normal_wit = is_normal(c.matrix)
-    integral, frac_vertex = is_integral_qa(c.matrix)
+    a = as_analysis(source)
+    c = a.clutter
+    normal, normal_wit = is_normal(c.matrix, a.basis)
+    integral, frac_vertex = is_integral_qa(c.matrix, a.vertices)
     covering, matching = covering_number(c), matching_number(c)
     packing_ok, packing_wit = packing_property(c, minor_cap)
     smith = smith_invariants(c.matrix)
-    ntf = ntf_check(c, i_max)
+    ntf = ntf_check(a, i_max)
     witnesses = {}
     if not normal:
         witnesses["normal"] = normal_wit
@@ -150,10 +196,12 @@ def decide_mfmc(c: Clutter, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdi
     )
 
 
-def gr_reduced(c: Clutter) -> bool:
+def gr_reduced(source) -> bool:
     """Whether the associated graded ring is reduced: normality of the
     Rees algebra together with integrality of the covering polyhedron."""
-    return is_normal(c.matrix)[0] and is_integral_qa(c.matrix)[0]
+    a = as_analysis(source)
+    m = a.clutter.matrix
+    return is_normal(m, a.basis)[0] and is_integral_qa(m, a.vertices)[0]
 
 
 @dataclass(frozen=True)
@@ -168,7 +216,7 @@ class EquivalenceReport:
         return all(self.c_closure_symbolic)
 
 
-def integrality_equivalences(c: Clutter, i_max: int = 3) -> EquivalenceReport:
+def integrality_equivalences(source, i_max: int = 3) -> EquivalenceReport:
     """Evaluate three equivalent readings of vertex integrality.
 
     (a) every covering-polyhedron vertex is integral;
@@ -180,18 +228,19 @@ def integrality_equivalences(c: Clutter, i_max: int = 3) -> EquivalenceReport:
     power; anything else raises InconsistencyError since the routes are
     supposed to compute the same thing."""
     require_i_max(i_max)
-    a, _ = is_integral_qa(c.matrix)
-    fc = support_hyperplanes(c.matrix)
+    an = as_analysis(source)
+    c = an.clutter
+    a, _ = is_integral_qa(c.matrix, an.vertices)
     cover_normals = set()
     for cover in minimal_vertex_covers(c):
         row = [0] * c.n
         for v in cover:
             row[v] = 1
         cover_normals.add(tuple(row) + (-1,))
-    b = set(fc.vertex_normals) <= cover_normals
+    b = set(an.facets.vertex_normals) <= cover_normals
     flags = []
     for i in range(1, i_max + 1):
-        flags.append(ideal_equal(closure_power(c.matrix, i, fc), symbolic_power(c, i)))
+        flags.append(ideal_equal(an.power("closure", i), an.power("symbolic", i)))
     report = EquivalenceReport(a, b, tuple(flags), i_max)
     if a != b:
         raise InconsistencyError(

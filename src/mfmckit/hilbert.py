@@ -150,10 +150,11 @@ def semigroup_member(m, z) -> bool:
     return rec(0, b, tuple(a))
 
 
-def is_normal(m, det_cap: int = DET_CAP):
+def is_normal(m, basis=None):
     """(True, None) when every Hilbert basis element is reachable by the
-    generators, else (False, lexicographically least failing element)."""
-    for z in hilbert_basis(m, det_cap):
+    generators, else (False, lexicographically least failing element).
+    basis, when given, is m's sorted Hilbert basis, already computed."""
+    for z in basis or hilbert_basis(m):
         if not semigroup_member(m, z):
             return False, z
     return True, None

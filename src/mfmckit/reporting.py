@@ -14,17 +14,13 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .clutters import Clutter, ExponentMatrix, MinorSpec, MINOR_CAP
-from .cones import (
-    FacetClassification,
-    QAPolyhedron,
-    qa_vertices_direct,
-    qa_vertices_via_rees,
-    support_hyperplanes,
-)
+from .cones import FacetClassification, QAPolyhedron
 from .decisions import (
+    ScanReport,
     TdiCounterexample,
     TdiReport,
     Verdict,
+    as_analysis,
     decide_mfmc,
     integrality_equivalences,
     require_i_max,
@@ -37,8 +33,6 @@ from .errors import (
     ParseError,
     UnsupportedMode,
 )
-from .hilbert import hilbert_basis
-from .ideals import closure_power, ordinary_power, symbolic_power
 
 REES_MODE = "rees"
 
@@ -174,14 +168,12 @@ class Report:
     tdi: TdiReport = None
 
 
-def powers_table(c: Clutter, i_max: int = 3):
+def powers_table(source, i_max: int = 3):
     require_i_max(i_max)
-    fc = support_hyperplanes(c.matrix)
+    a = as_analysis(source)
     out = []
     for i in range(1, i_max + 1):
-        o = ordinary_power(c.matrix, i)
-        s = symbolic_power(c, i)
-        cl = closure_power(c.matrix, i, fc)
+        o, s, cl = (a.power(kind, i) for kind in ("ordinary", "symbolic", "closure"))
         out.append(PowerRow(i, len(o), len(s), len(cl),
                             o.gens == s.gens, cl.gens == s.gens, o.gens == cl.gens))
     return tuple(out)
@@ -189,7 +181,7 @@ def powers_table(c: Clutter, i_max: int = 3):
 
 def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
             minor_cap: int = MINOR_CAP) -> Report:
-    """Run the whole pipeline on a clutter input document.
+    """Run the whole pipeline on a clutter input document, through one Analysis.
 
     The covering-polyhedron vertices are computed twice, by basic
     solutions and through the Rees cone facets; a mismatch is a bug and
@@ -198,19 +190,17 @@ def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
     tdi_bound = 0 skips the duality-gap scan."""
     if tdi_bound < 0:
         raise ValueError(f"tdi_bound must be >= 0 (0 = off), got {tdi_bound}")
-    c = doc.clutter()
-    verdict = decide_mfmc(c, i_max=i_max, minor_cap=minor_cap)
-    basis = hilbert_basis(c.matrix)
-    fc = support_hyperplanes(c.matrix)
-    direct = qa_vertices_direct(c.matrix)
-    via_rees = qa_vertices_via_rees(c.matrix)
-    if direct.vertices != via_rees.vertices:
+    a = as_analysis(doc.clutter())
+    verdict = decide_mfmc(a, i_max=i_max, minor_cap=minor_cap)
+    via_rees = a.facets.qa_vertices()
+    if a.vertices != via_rees:
         raise InconsistencyError(
-            f"vertex routes disagree: {direct.vertices} vs {via_rees.vertices}"
+            f"vertex routes disagree: {a.vertices} vs {via_rees}"
         )
-    integrality_equivalences(c, i_max)
-    tdi = tdi_bounded_check(c, tdi_bound) if tdi_bound else None
-    return Report(doc, verdict, basis, fc, direct, powers_table(c, i_max), tdi)
+    integrality_equivalences(a, i_max)
+    tdi = tdi_bounded_check(a, tdi_bound) if tdi_bound else None
+    vertices = QAPolyhedron(a.clutter.matrix, a.vertices)
+    return Report(doc, verdict, a.basis, a.facets, vertices, powers_table(a, i_max), tdi)
 
 
 # ---------------------------------------------------------------- text
@@ -316,6 +306,10 @@ def facets_to_dict(fc: FacetClassification) -> dict:
             "vertex_normals": [list(f) for f in fc.vertex_normals]}
 
 
+def basis_to_list(basis) -> list:
+    return [list(z) for z in basis]
+
+
 def vertices_to_list(vertices) -> list:
     return [[_frac_str(x) for x in v] for v in vertices]
 
@@ -361,6 +355,13 @@ def verdict_to_dict(v: Verdict) -> dict:
     return dict(vars(v), witnesses=_witnesses_to_json(v.witnesses))
 
 
+def scan_to_dict(report: ScanReport) -> dict:
+    """The scan's fields as JSON-ready values, counterexamples as edge lists."""
+    return dict(vars(report), **{
+        k: [[list(e) for e in c.edges] for c in getattr(report, k)]
+        for k in ("reduced_counterexamples", "torsion_counterexamples")})
+
+
 def report_to_dict(report: Report) -> dict:
     doc = report.document
     data = {
@@ -371,7 +372,7 @@ def report_to_dict(report: Report) -> dict:
             "source_format": doc.source_format,
         },
         "verdict": verdict_to_dict(report.verdict),
-        "hilbert_basis": [list(z) for z in report.hilbert_basis],
+        "hilbert_basis": basis_to_list(report.hilbert_basis),
         "support_hyperplanes": facets_to_dict(report.facets),
         "vertices": vertices_to_list(report.vertices.vertices),
         "powers": powers_to_list(report.powers),

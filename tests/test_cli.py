@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -10,6 +11,7 @@ from test_reporting import REFERENCE_INPUT, REFERENCE_TEXT
 
 TRIANGLE_NATIVE = "edge a b\nedge b c\nedge a c\n"
 Q6_NATIVE = "edge 1 2 3\nedge 1 4 5\nedge 2 4 6\nedge 3 5 6\n"
+C5_NATIVE = "edge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 1 5\n"
 
 # the flags each subcommand's handler reads
 READS = {
@@ -164,6 +166,90 @@ def test_scan_json(capsys):
     assert "open" in data["note"]
 
 
+def test_scan_counterexamples(capsys, monkeypatch):
+    # no small clutter is a real counterexample, so two reduced checks and
+    # one torsion check are made to fail to pin how counterexamples print
+    import mfmckit.decisions as decisions
+    from mfmckit.clutters import clutter_from_edges
+    from mfmckit.hilbert import SmithInvariants
+    not_reduced = {((1, 2), (0,)), ((2,), (1,), (0,))}
+    with_torsion = {clutter_from_edges(3, [(0, 2), (0, 1)]).matrix}
+    reduced, smith = decisions.gr_reduced, decisions.smith_invariants
+    monkeypatch.setattr(decisions, "gr_reduced",
+                        lambda c: c.edges not in not_reduced and reduced(c))
+    monkeypatch.setattr(decisions, "smith_invariants",
+                        lambda m: SmithInvariants((1, 2), 2, False)
+                        if m in with_torsion else smith(m))
+    argv = ["scan", "--max-vertices", "3", "--max-edges", "3"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert out == "\n".join([
+        "scanned 12 clutters (up to 3 vertices, 3 edges)",
+        "packing property holds: 11",
+        "reduced associated graded ring: 9 confirmed, 2 counterexamples",
+        "uniform edge size >= 2: 5 tested, 4 torsion-free, 1 counterexamples",
+        "COUNTEREXAMPLE (reduced): (('x2', 'x3'), ('x1',))",
+        "COUNTEREXAMPLE (reduced): (('x3',), ('x2',), ('x1',))",
+        "COUNTEREXAMPLE (torsion): (('x1', 'x3'), ('x1', 'x2'))",
+        "bounded evidence only; the underlying conjectures stay open",
+    ]) + "\n"
+    rc, out, _ = run(capsys, argv + ["--format", "json"])
+    assert rc == 0
+    assert out == json.dumps({
+        "note": "bounded evidence only; the underlying conjectures stay open",
+        "packing_true": 11,
+        "reduced_confirmed": 9,
+        "reduced_counterexamples": [[[1, 2], [0]], [[2], [1], [0]]],
+        "torsion_counterexamples": [[[0, 2], [0, 1]]],
+        "torsion_free_confirmed": 4,
+        "total": 12,
+        "uniform_tested": 5,
+    }, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------- byte identity
+
+# sha256 of stdout, recorded before the input subcommands shared one handler
+STDOUT_SHA256 = {
+    ("triangle", "analyze", "text"): "93610835b6fa1cb210a8abd6473ee52177fb3a617182a3d99b970effd1c6b6ae",
+    ("triangle", "analyze", "json"): "d310b0872a1d6d407132136b281fa4a966f1eb697e8e75df18d7faf1874673e5",
+    ("triangle", "mfmc", "text"): "1bfaa86efdd0d50a19d5835a866be396c290f31324a59a85df6cd9f8903b80b2",
+    ("triangle", "mfmc", "json"): "4413ab2584077479d8e1cadb7d548738ca559d9689f4e9fb40ba2a5d230ad7b1",
+    ("triangle", "powers", "text"): "9ea4311211023698c3cfaf5f5cc53be6819979325b70232085d29116decd7ca7",
+    ("triangle", "powers", "json"): "c97774de16a3f4d9e0e81e6a75a4166ad2dce899fb726deea8fb2ac1cf4a3061",
+    ("q6", "analyze", "text"): "a21f3e1cfc2f447dad11b79d37e7fb2fdb287105e07a6b0d861c55206c253ea1",
+    ("q6", "analyze", "json"): "140bc101dfe3f555ae45d1cda287dfe082a91a208098d4737cc5fda83955339c",
+    ("q6", "mfmc", "text"): "bb1223301d8ae2ff8cadaabbc16831e07683eb9759190dfe4685670d044c7f29",
+    ("q6", "mfmc", "json"): "7c02faf172a05a2352fb6f84fc01939ceb954ac7385a8b77f14e4a1c2564b6f8",
+    ("q6", "powers", "text"): "4fd56c54126cc17df9cdb50a6b2b9ea73bb3d30301c2be988e8cbf4a1d0b5cfa",
+    ("q6", "powers", "json"): "ecd100e3828612a8045900eecd4f41c2ffdcca9bed77dfaa8efeca5312b57597",
+    ("reference", "analyze", "text"): "11572826e8dfaf5d8985d0f54c0042da9f2fb12266c38bee3ba47ca569d4627a",
+    ("reference", "analyze", "json"): "18baca7afd10b918a06a82e95dea32b3f278997c6ca2a6aab88c61c165b740ac",
+    ("reference", "mfmc", "text"): "62f383384e96e5aa377c1d4884fbd9f117e1d6e164d86dd59fed3d96bb77e0e4",
+    ("reference", "mfmc", "json"): "4653a769520ecb2bd808ed077e538464b3c6515bea10b2223ebbe26d44f6ab8b",
+    ("reference", "powers", "text"): "ed039b615684ed7bb532871597411e0137917e1ce0cec25ee9c0b2141e85f13e",
+    ("reference", "powers", "json"): "7a8889ea75df69e0146996a5217a4b10cb2f3f024d2431a0756f4252c5c0688f",
+    ("c5", "analyze", "text"): "e9a195281ba4343f1d34f6cba40e38e4657fe8d9153719a19906b9cecf512f89",
+    ("c5", "analyze", "json"): "a417177c431b13b47f7cb4ce909317543640f9a980aa8cb4f8792ed924b6f13b",
+    ("c5", "mfmc", "text"): "260bb8f1ae207f6bbf25cbf54df531a6012878f8459383466b70559597433c13",
+    ("c5", "mfmc", "json"): "3f55a096b17857c57888046242735e255194a46578f2ed132b8231582d4795ee",
+    ("c5", "powers", "text"): "43dd0e387aca264dd9bdb99234ecbe9f7885451fd7a13d9bf22730d1b3d52b85",
+    ("c5", "powers", "json"): "ab33a07b361d3b422dad10abe53a99ff0fd4896f20c6d54701449a0c74d57fed",
+}
+DIGEST_INPUTS = {"triangle": TRIANGLE_NATIVE, "q6": Q6_NATIVE,
+                 "reference": REFERENCE_INPUT, "c5": C5_NATIVE}
+
+
+@pytest.mark.parametrize("name, command, fmt", sorted(STDOUT_SHA256))
+def test_stdout_is_byte_identical(capsys, tmp_path, name, command, fmt):
+    path = tmp_path / f"{name}.in"
+    path.write_text(DIGEST_INPUTS[name])
+    extra = ["--tdi-bound", "2"] if command == "analyze" else []
+    rc, out, err = run(capsys, [command, str(path), "--format", fmt, *extra])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name, command, fmt]
+
+
 # ---------------------------------------------------------------- wiring
 
 
@@ -196,11 +282,20 @@ def test_size_limit_exit_code(capsys, reference_file):
     assert err.startswith("size limit: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "{r}", "--tdi-bound", "30"],
+     "size limit: tdi demand box: needs 28629151 states, cap is 1000000\n"),
+    (["scan", "--max-vertices", "6", "--max-edges", "6"],
+     "size limit: clutter enumeration: needs 76564490 states, cap is 1000000\n"),
+])
+def test_demand_box_and_enumeration_caps(capsys, reference_file, argv, message):
+    rc, out, err = run(capsys, [a.format(r=reference_file) for a in argv])
+    assert (rc, out, err) == (3, "", message)
+
+
 def test_internal_error_exit_code(capsys, reference_file, monkeypatch):
-    import mfmckit.reporting as reporting
-    from mfmckit.cones import QAPolyhedron
-    monkeypatch.setattr(reporting, "qa_vertices_via_rees",
-                        lambda m: QAPolyhedron(m, ()))
+    from mfmckit.cones import FacetClassification
+    monkeypatch.setattr(FacetClassification, "qa_vertices", lambda fc: ())
     rc, out, err = run(capsys, ["analyze", reference_file])
     assert rc == 4
     assert out == ""

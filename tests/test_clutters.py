@@ -277,3 +277,14 @@ def test_enumerate_clutters_matches_antichain_count():
         got = sorted(
             tuple(sorted(c.edges)) for c in enumerate_clutters(n, q) if c.n == n)
         assert got == brute_antichains(n, q)
+
+
+def test_enumeration_is_capped():
+    # 2,046 and 5,637 candidate edge families stay under the cap
+    assert sum(1 for _ in enumerate_clutters(4, 4)) == 119
+    assert sum(1 for _ in enumerate_clutters(5, 3)) == 975
+    with pytest.raises(SizeLimit) as exc:
+        next(enumerate_clutters(6, 6))
+    assert (exc.value.stage, exc.value.needed) == ("clutter enumeration", 76_564_490)
+    # more edges than subsets adds no candidates and no empty rounds
+    assert sum(1 for _ in enumerate_clutters(3, 10 ** 9)) == 12

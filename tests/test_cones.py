@@ -20,7 +20,7 @@ from mfmckit.cones import (
 from mfmckit.errors import ClassificationError, SizeLimit, ZeroCone
 from mfmckit.linalg import dot, rank
 
-from oracles import brute_facets
+from oracles import brute_facets, random_clutters
 
 TRIANGLE_FACETS = {
     (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -209,6 +209,12 @@ def test_both_vertex_routes_agree(reference_matrix, triangle, two_star, random10
     mats += [c.matrix for c in random100[:25]]
     for m in mats:
         assert qa_vertices_direct(m).vertices == qa_vertices_via_rees(m).vertices
+
+
+def test_vertex_routes_agree_on_larger_clutters():
+    for c in random_clutters(count=30, seed=1, max_n=8, max_q=10):
+        m = c.matrix
+        assert qa_vertices_direct(m).vertices == support_hyperplanes(m).qa_vertices()
 
 
 def test_qa_vertices_cap(reference_matrix):

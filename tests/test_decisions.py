@@ -1,11 +1,16 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
 
+from mfmckit import cones, hilbert, ideals
 from mfmckit.clutters import MinorSpec, packing_property
 from mfmckit.cones import qa_vertices_direct
 from mfmckit.decisions import (
+    TDI_BOX_CAP,
+    Analysis,
     NtfResult,
     TdiCounterexample,
     conjecture_scan,
@@ -15,6 +20,7 @@ from mfmckit.decisions import (
     ntf_check,
     tdi_bounded_check,
 )
+from mfmckit.errors import SizeLimit
 from mfmckit.linalg import dot
 from mfmckit.reporting import analyze, parse_input, powers_table
 
@@ -129,6 +135,17 @@ def test_tdi_rejects_degenerate_box(triangle):
     for bound in (0, -2):
         with pytest.raises(ValueError):
             tdi_bounded_check(triangle, bound)
+
+
+def test_tdi_demand_box_is_capped(reference_clutter, monkeypatch):
+    # 31^5 demands: the cap must fire before the vertices or the grid
+    def unreachable(m):
+        raise AssertionError("vertices computed past the cap")
+    monkeypatch.setattr("mfmckit.decisions.qa_vertices_direct", unreachable)
+    with pytest.raises(SizeLimit) as exc:
+        tdi_bounded_check(reference_clutter, 30)
+    assert (exc.value.stage, exc.value.needed, exc.value.cap) == (
+        "tdi demand box", 31 ** 5, TDI_BOX_CAP)
 
 
 # ---------------------------------------------------------------- no vacuous verdicts
@@ -271,3 +288,53 @@ def test_packing_failures_have_checkable_witness(random100):
         ok, spec = packing_property(c)
         if not ok:
             assert not koenig(minor(c, spec))
+
+
+# ---------------------------------------------------------------- one Analysis per clutter
+
+# each counted function, by the module that defines it
+COUNTED = {"ordinary_power": ideals, "symbolic_power": ideals,
+           "closure_power": ideals, "qa_vertices_direct": cones,
+           "support_hyperplanes": cones, "hilbert_basis": hilbert}
+
+
+def count_calls(monkeypatch) -> Counter:
+    """Count calls of the COUNTED functions made through any mfmckit
+    module attribute that refers to them."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "mfmckit" or name.startswith("mfmckit.")]
+    for name, home in COUNTED.items():
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("text", [
+    "edge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 1 5\n",
+    "4\n5\n1 0 0 0 1\n0 1 0 1 0\n0 0 1 1 1\n1 1 1 0 0\n3\n",
+], ids=["C5", "reference"])
+def test_analyze_computes_each_object_once(monkeypatch, text):
+    doc = parse_input(text)
+    calls = count_calls(monkeypatch)
+    analyze(doc, i_max=3, tdi_bound=2)
+    assert calls == {"ordinary_power": 3, "symbolic_power": 3, "closure_power": 3,
+                     "qa_vertices_direct": 1, "support_hyperplanes": 1,
+                     "hilbert_basis": 1}
+
+
+def test_analysis_gives_the_clutter_results(random100):
+    for c in random100:
+        a = Analysis(c)
+        assert decide_mfmc(a) == decide_mfmc(c)
+        assert ntf_check(a) == ntf_check(c)
+        assert integrality_equivalences(a) == integrality_equivalences(c)
+        assert tdi_bounded_check(a, 2) == tdi_bounded_check(c, 2)
+        assert gr_reduced(a) == gr_reduced(c)
+        assert powers_table(a) == powers_table(c)
