@@ -7,7 +7,7 @@ import json
 import sys
 
 from .clutters import MINOR_CAP, enumerate_clutters
-from .cones import qa_vertices_direct, support_hyperplanes
+from .cones import qa_vertices_via_rees, support_hyperplanes
 from .decisions import conjecture_scan, decide_mfmc
 from .errors import (
     ClassificationError,
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
          facets_to_dict, lambda fc: hyperplane_block(fc.all_rows()))
     view("hilbert", lambda doc, a: hilbert_basis(doc.matrix),
          basis_to_list, generator_block)
-    view("vertices", lambda doc, a: qa_vertices_direct(doc.matrix).vertices,
+    view("vertices", lambda doc, a: qa_vertices_via_rees(doc.matrix).vertices,
          vertices_to_list, vertex_lines)
     view("powers", lambda doc, a: powers_table(doc.clutter(), a.imax),
          powers_to_list, powers_lines, "--imax")

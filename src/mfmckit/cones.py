@@ -269,9 +269,9 @@ def qa_vertices_via_rees(m) -> QAPolyhedron:
 
 def is_integral_qa(m, vertices=None):
     """(True, None) when all covering-polyhedron vertices are integral,
-    else (False, lexicographically least fractional vertex).  vertices,
-    when given, is m's sorted vertex set, already computed."""
-    for v in vertices or qa_vertices_direct(m).vertices:
+    else (False, lexicographically least fractional vertex).  vertices
+    is m's sorted vertex set, by default read off the Rees cone facets."""
+    for v in support_hyperplanes(m).qa_vertices() if vertices is None else vertices:
         if any(x.denominator != 1 for x in v):
             return False, v
     return True, None

@@ -1,8 +1,8 @@
 """Verdicts: MFMC decision, bounded TDI and torsion checks, scans.
 
-The MFMC verdict is the conjunction of two independently computed
-facts: the covering polyhedron has integral vertices (basic-solution
-enumeration) and the Rees algebra is normal (Hilbert basis check).
+The MFMC verdict is the conjunction of two facts read off the Rees
+cone: the covering polyhedron has integral vertices (its vertex facets)
+and the Rees algebra is normal (Hilbert basis check).
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from functools import cached_property
 from .clutters import (
     Clutter,
     MINOR_CAP,
-    covering_number,
     matching_number,
     minimal_vertex_covers,
     packing_property,
 )
-from .cones import is_integral_qa, qa_vertices_direct, support_hyperplanes
+from .cones import is_integral_qa, support_hyperplanes
 from .errors import InconsistencyError, SizeLimit
 from .hilbert import hilbert_basis, is_normal, smith_invariants
 from .ideals import closure_power, ideal_equal, membership, ordinary_power, symbolic_power
@@ -31,12 +30,12 @@ TDI_BOX_CAP = 1_000_000
 
 class Analysis:
     """The Rees-cone objects of one clutter, each computed on first use
-    and kept: the facets, the covering-polyhedron vertices (by basic
-    solutions, sorted), the Hilbert basis and the power ideals."""
+    and kept: the facets, the covering-polyhedron vertices read off them,
+    the minimal vertex covers, the Hilbert basis and the power ideals."""
 
     POWERS = {
         "ordinary": lambda a, i: ordinary_power(a.clutter.matrix, i),
-        "symbolic": lambda a, i: symbolic_power(a.clutter, i),
+        "symbolic": lambda a, i: symbolic_power(a.clutter, i, a.covers),
         "closure": lambda a, i: closure_power(a.clutter.matrix, i, a.facets),
     }
 
@@ -50,7 +49,11 @@ class Analysis:
 
     @cached_property
     def vertices(self) -> tuple:
-        return qa_vertices_direct(self.clutter.matrix).vertices
+        return self.facets.qa_vertices()
+
+    @cached_property
+    def covers(self) -> tuple:
+        return minimal_vertex_covers(self.clutter)
 
     @cached_property
     def basis(self) -> tuple:
@@ -109,6 +112,14 @@ def require_i_max(i_max: int):
         raise ValueError(f"i_max must be >= 1, got {i_max}")
 
 
+def require_tdi_box(n: int, bound: int):
+    """Reject demand boxes that check nothing or exceed TDI_BOX_CAP."""
+    if bound < 1:
+        raise ValueError(f"demand bound must be >= 1, got {bound}")
+    if (bound + 1) ** n > TDI_BOX_CAP:
+        raise SizeLimit("tdi demand box", (bound + 1) ** n, TDI_BOX_CAP)
+
+
 def ntf_check(source, i_max: int = 3) -> NtfResult:
     """Compare ordinary and symbolic powers up to i_max.
 
@@ -132,12 +143,9 @@ def tdi_bounded_check(source, bound: int = 2) -> TdiReport:
     off the vertices of the dual feasible region {x >= 0 : x A >= 1};
     the integral optimum comes from a residual-capacity recursion.
     Stops at the first gap."""
-    if bound < 1:
-        raise ValueError(f"demand bound must be >= 1, got {bound}")
     a = as_analysis(source)
     n = a.clutter.n
-    if (bound + 1) ** n > TDI_BOX_CAP:
-        raise SizeLimit("tdi demand box", (bound + 1) ** n, TDI_BOX_CAP)
+    require_tdi_box(n, bound)
     cols = a.clutter.matrix.columns
     best = {}
     grid = list(itertools.product(range(bound + 1), repeat=n))
@@ -166,7 +174,7 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     c = a.clutter
     normal, normal_wit = is_normal(c.matrix, a.basis)
     integral, frac_vertex = is_integral_qa(c.matrix, a.vertices)
-    covering, matching = covering_number(c), matching_number(c)
+    covering, matching = min(map(len, a.covers)), matching_number(c)
     packing_ok, packing_wit = packing_property(c, minor_cap)
     smith = smith_invariants(c.matrix)
     ntf = ntf_check(a, i_max)
@@ -231,12 +239,8 @@ def integrality_equivalences(source, i_max: int = 3) -> EquivalenceReport:
     an = as_analysis(source)
     c = an.clutter
     a, _ = is_integral_qa(c.matrix, an.vertices)
-    cover_normals = set()
-    for cover in minimal_vertex_covers(c):
-        row = [0] * c.n
-        for v in cover:
-            row[v] = 1
-        cover_normals.add(tuple(row) + (-1,))
+    cover_normals = {tuple(int(v in cover) for v in range(c.n)) + (-1,)
+                     for cover in an.covers}
     b = set(an.facets.vertex_normals) <= cover_normals
     flags = []
     for i in range(1, i_max + 1):

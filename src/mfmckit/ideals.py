@@ -93,15 +93,16 @@ def _as_clutter(source) -> Clutter:
     return Clutter(source)
 
 
-def symbolic_power(source, i: int, cap: int = BOX_CAP) -> MonomialIdealGens:
+def symbolic_power(source, i: int, covers=None, cap: int = BOX_CAP) -> MonomialIdealGens:
     """I^(i): minimal exponent vectors whose weight on every minimal
-    vertex cover is at least i.  Entries of minimal generators never
-    exceed i, so the (i+1)^n grid is exhaustive, and the set is closed
-    upwards, so its minimal points are found locally."""
+    vertex cover (covers, when given, already computed) is at least i.
+    Entries of minimal generators never exceed i, so the (i+1)^n grid is
+    exhaustive, and the set is closed upwards, so its minimal points are
+    found locally."""
     if i < 1:
         raise ValueError("power must be >= 1")
     c = _as_clutter(source)
-    covers = minimal_vertex_covers(c)
+    covers = minimal_vertex_covers(c) if covers is None else covers
     n = c.n
     total = (i + 1) ** n
     if total > cap:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .clutters import Clutter, ExponentMatrix, MinorSpec, MINOR_CAP
-from .cones import FacetClassification, QAPolyhedron
+from .cones import FacetClassification, QAPolyhedron, qa_vertices_direct
 from .decisions import (
     ScanReport,
     TdiCounterexample,
@@ -24,6 +24,7 @@ from .decisions import (
     decide_mfmc,
     integrality_equivalences,
     require_i_max,
+    require_tdi_box,
     tdi_bounded_check,
 )
 from .errors import (
@@ -183,19 +184,22 @@ def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
             minor_cap: int = MINOR_CAP) -> Report:
     """Run the whole pipeline on a clutter input document, through one Analysis.
 
-    The covering-polyhedron vertices are computed twice, by basic
-    solutions and through the Rees cone facets; a mismatch is a bug and
-    raises InconsistencyError.  integrality_equivalences adds the same
+    The covering-polyhedron vertices come from the Rees cone facets and
+    are checked against basic-solution enumeration; a mismatch is a bug
+    and raises InconsistencyError.  integrality_equivalences adds the same
     kind of cross-route guarantee for the power/facet readings.
-    tdi_bound = 0 skips the duality-gap scan."""
+    tdi_bound = 0 skips the duality-gap scan, and an oversized demand box
+    is refused before any Rees-cone object is built."""
     if tdi_bound < 0:
         raise ValueError(f"tdi_bound must be >= 0 (0 = off), got {tdi_bound}")
     a = as_analysis(doc.clutter())
+    if tdi_bound:
+        require_tdi_box(a.clutter.n, tdi_bound)
     verdict = decide_mfmc(a, i_max=i_max, minor_cap=minor_cap)
-    via_rees = a.facets.qa_vertices()
-    if a.vertices != via_rees:
+    direct = qa_vertices_direct(a.clutter.matrix).vertices
+    if direct != a.vertices:
         raise InconsistencyError(
-            f"vertex routes disagree: {a.vertices} vs {via_rees}"
+            f"vertex routes disagree: {direct} vs {a.vertices}"
         )
     integrality_equivalences(a, i_max)
     tdi = tdi_bounded_check(a, tdi_bound) if tdi_bound else None

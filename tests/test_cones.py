@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -204,9 +205,21 @@ def test_positive_row_vertex(random100):
                 assert expected in verts
 
 
-def test_both_vertex_routes_agree(reference_matrix, triangle, two_star, random100):
-    mats = [reference_matrix, triangle.matrix, two_star.matrix]
+def test_both_vertex_routes_agree(reference_matrix, triangle, two_star, random100,
+                                  squares_matrix, mixed_pair_matrix):
+    mats = [reference_matrix, triangle.matrix, two_star.matrix,
+            squares_matrix, mixed_pair_matrix]
     mats += [c.matrix for c in random100[:25]]
+    # seeded non-0/1 inputs, as the vertices subcommand accepts them
+    rng = random.Random(7)
+    while len(mats) < 45:
+        n = rng.randint(2, 4)
+        cols = {tuple(rng.randint(0, 3) for _ in range(n))
+                for _ in range(rng.randint(1, 4))}
+        cols = [c for c in cols if any(c) and not any(
+            o != c and all(a <= b for a, b in zip(o, c)) for o in cols)]
+        if cols and all(any(c[k] for c in cols) for k in range(n)):
+            mats.append(ExponentMatrix(tuple(cols)))
     for m in mats:
         assert qa_vertices_direct(m).vertices == qa_vertices_via_rees(m).vertices
 

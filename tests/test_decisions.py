@@ -5,7 +5,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from mfmckit import cones, hilbert, ideals
+from mfmckit import clutters, cones, hilbert, ideals
+from mfmckit.cli import main
 from mfmckit.clutters import MinorSpec, packing_property
 from mfmckit.cones import qa_vertices_direct
 from mfmckit.decisions import (
@@ -22,7 +23,7 @@ from mfmckit.decisions import (
 )
 from mfmckit.errors import SizeLimit
 from mfmckit.linalg import dot
-from mfmckit.reporting import analyze, parse_input, powers_table
+from mfmckit.reporting import InputDocument, analyze, parse_input, powers_table
 
 from oracles import (
     brute_alpha0,
@@ -141,7 +142,7 @@ def test_tdi_demand_box_is_capped(reference_clutter, monkeypatch):
     # 31^5 demands: the cap must fire before the vertices or the grid
     def unreachable(m):
         raise AssertionError("vertices computed past the cap")
-    monkeypatch.setattr("mfmckit.decisions.qa_vertices_direct", unreachable)
+    monkeypatch.setattr("mfmckit.decisions.support_hyperplanes", unreachable)
     with pytest.raises(SizeLimit) as exc:
         tdi_bounded_check(reference_clutter, 30)
     assert (exc.value.stage, exc.value.needed, exc.value.cap) == (
@@ -299,21 +300,33 @@ COUNTED = {"ordinary_power": ideals, "symbolic_power": ideals,
 
 
 def count_calls(monkeypatch) -> Counter:
-    """Count calls of the COUNTED functions made through any mfmckit
-    module attribute that refers to them."""
+    """Count calls of the counted functions made through any mfmckit
+    module attribute that refers to them.  Calls of
+    minimal_vertex_covers are kept apart, as the list of clutters they
+    were made on, in calls.covers_of: packing_property runs it on every
+    minor, and only the calls on the analysed clutter are pinned."""
     calls = Counter()
+    calls.covers_of = []
     modules = [m for name, m in sys.modules.items()
                if name == "mfmckit" or name.startswith("mfmckit.")]
-    for name, home in COUNTED.items():
+    for name, home in dict(COUNTED, minimal_vertex_covers=clutters).items():
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+            if _name == "minimal_vertex_covers":
+                calls.covers_of.append(args[0])
+            else:
+                calls[_name] += 1
             return _original(*args, **kwargs)
         for mod in modules:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def covers_runs_on(calls, c) -> int:
+    """minimal_vertex_covers calls on the Clutter object c itself."""
+    return sum(x is c for x in calls.covers_of)
 
 
 @pytest.mark.parametrize("text", [
@@ -322,11 +335,42 @@ def count_calls(monkeypatch) -> Counter:
 ], ids=["C5", "reference"])
 def test_analyze_computes_each_object_once(monkeypatch, text):
     doc = parse_input(text)
+    made = []
+    clutter = InputDocument.clutter
+    monkeypatch.setattr(InputDocument, "clutter",
+                        lambda d: made.append(clutter(d)) or made[-1])
     calls = count_calls(monkeypatch)
     analyze(doc, i_max=3, tdi_bound=2)
+    # basic-solution vertices run once, as the cross-check of the facet route
     assert calls == {"ordinary_power": 3, "symbolic_power": 3, "closure_power": 3,
                      "qa_vertices_direct": 1, "support_hyperplanes": 1,
                      "hilbert_basis": 1}
+    assert len(made) == 1 and covers_runs_on(calls, made[0]) == 1
+
+
+def test_decisions_skip_basic_solution_vertices(monkeypatch, random100, tmp_path,
+                                                capsys):
+    calls = count_calls(monkeypatch)
+    for c in random100[:10]:
+        decide_mfmc(c, i_max=2)
+        assert covers_runs_on(calls, c) == 1
+    conjecture_scan(random100[:10])
+    path = tmp_path / "c5.in"
+    path.write_text("edge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 1 5\n")
+    assert main(["mfmc", str(path), "--imax", "2"]) == 0
+    assert "mfmc: false" in capsys.readouterr().out
+    assert calls["qa_vertices_direct"] == 0
+    assert calls["support_hyperplanes"] > 0
+
+
+def test_analyze_checks_the_tdi_box_first(monkeypatch):
+    # 31^5 demands: refused before any Rees-cone object is built
+    doc = parse_input("4\n5\n1 0 0 0 1\n0 1 0 1 0\n0 0 1 1 1\n1 1 1 0 0\n3\n")
+    calls = count_calls(monkeypatch)
+    with pytest.raises(SizeLimit) as exc:
+        analyze(doc, tdi_bound=30)
+    assert str(exc.value) == "tdi demand box: needs 28629151 states, cap is 1000000"
+    assert calls == {} and calls.covers_of == []
 
 
 def test_analysis_gives_the_clutter_results(random100):
