@@ -233,9 +233,8 @@ def covering_number(c: Clutter) -> int:
     return min(len(t) for t in minimal_vertex_covers(c))
 
 
-def matching_number(c: Clutter, max_edges: int = 24) -> int:
-    """Largest number of pairwise vertex-disjoint edges, by exhaustion."""
-    masks = c.edge_masks()
+def _disjoint_edges(masks, target: int, max_edges: int = 24) -> int:
+    """Most pairwise-disjoint masks, by exhaustion; stops once target are found."""
     if len(masks) > max_edges:
         raise SizeLimit("matching search", 2 ** len(masks), 2 ** max_edges)
     best = 0
@@ -244,7 +243,7 @@ def matching_number(c: Clutter, max_edges: int = 24) -> int:
         nonlocal best
         if count > best:
             best = count
-        if i == len(masks) or count + len(masks) - i <= best:
+        if best >= target or i == len(masks) or count + len(masks) - i <= best:
             return
         if not (masks[i] & used):
             rec(i + 1, used | masks[i], count + 1)
@@ -254,19 +253,40 @@ def matching_number(c: Clutter, max_edges: int = 24) -> int:
     return best
 
 
+def matching_number(c: Clutter, max_edges: int = 24) -> int:
+    """Largest number of pairwise vertex-disjoint edges, by exhaustion."""
+    return _disjoint_edges(c.edge_masks(), c.q, max_edges)
+
+
 def koenig(c: Clutter) -> bool:
     """Whether the covering and matching numbers coincide."""
     return covering_number(c) == matching_number(c)
 
 
-def packing_property(c: Clutter, cap: int = MINOR_CAP):
-    """Whether every minor satisfies the Koenig property.
+def packing_property(c: Clutter, cap: int = MINOR_CAP, covers=None):
+    r"""Whether every minor satisfies the Koenig property.
 
     Returns (True, None) or (False, first failing MinorSpec) in the
-    canonical minor enumeration order.
-    """
-    for spec, m in all_minors(c, cap):
-        if not koenig(m):
+    canonical minor enumeration order.  By blocker duality, b(C \ X / Y)
+    = b(C) / X \ Y, each minor's covering number is read off the minimal
+    covers of c (computed unless given); the minor passes once that many
+    of its kept, shrunk edges are disjoint.  Superset edges and repeated
+    minors change neither number, so no minor is built."""
+    if 3 ** c.n > cap:
+        raise SizeLimit("minor enumeration", 3 ** c.n, cap)
+    if covers is None:
+        covers = minimal_vertex_covers(c)
+    blocker = [sum(1 << v for v in b) for b in covers]
+    edges = c.edge_masks()
+    # the first spec keeps every edge, so the matching cap fires there
+    for spec in _minor_specs(c.n):
+        zeros = sum(1 << v for v in spec.zeros)
+        ones = sum(1 << v for v in spec.ones)
+        kept = [e & ~ones for e in edges if not e & zeros]
+        if not kept or not all(kept):
+            continue  # the zero or the unit ideal
+        tau = min((b & ~zeros).bit_count() for b in blocker if not b & ones)
+        if _disjoint_edges(kept, tau) < tau:
             return False, spec
     return True, None
 

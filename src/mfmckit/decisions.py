@@ -175,7 +175,7 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     normal, normal_wit = is_normal(c.matrix, a.basis)
     integral, frac_vertex = is_integral_qa(c.matrix, a.vertices)
     covering, matching = min(map(len, a.covers)), matching_number(c)
-    packing_ok, packing_wit = packing_property(c, minor_cap)
+    packing_ok, packing_wit = packing_property(c, minor_cap, a.covers)
     smith = smith_invariants(c.matrix)
     ntf = ntf_check(a, i_max)
     witnesses = {}

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
-
 from fractions import Fraction
 
 from .clutters import Clutter, ExponentMatrix, MinorSpec, MINOR_CAP
@@ -210,6 +210,34 @@ def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
 # ---------------------------------------------------------------- text
 
 
+def _frac_str(x) -> str:
+    return str(Fraction(x))
+
+
+def _words(xs) -> str:
+    return " ".join(str(x) for x in xs)
+
+
+# per witness kind: its text-line suffix, its JSON value and the read-back
+Witness = namedtuple("Witness", "text to_json from_json")
+WITNESSES = {
+    "normal": Witness(lambda w: "   witness: " + _words(w), list, tuple),
+    "integral": Witness(lambda w: "   witness: " + _words(w),
+                        lambda w: [_frac_str(x) for x in w],
+                        lambda d: tuple(Fraction(s) for s in d)),
+    "koenig": Witness(lambda w: f"   covering {w[0]} != matching {w[1]}",
+                      lambda w: {"covering": w[0], "matching": w[1]},
+                      lambda d: (d["covering"], d["matching"])),
+    "packing": Witness(lambda w: f"   witness: zeros={list(w.zeros)} ones={list(w.ones)}",
+                       lambda w: {"zeros": list(w.zeros), "ones": list(w.ones)},
+                       lambda d: MinorSpec(tuple(d["zeros"]), tuple(d["ones"]))),
+    "torsion_free": Witness(lambda w: f"   invariant factors {list(w)}", list, tuple),
+    "ntf": Witness(lambda w: f"   witness: i={w[0]} monomial " + _words(w[1]),
+                   lambda w: {"i": w[0], "monomial": list(w[1])},
+                   lambda d: (d["i"], tuple(d["monomial"]))),
+}
+
+
 def _bool(b) -> str:
     return "true" if b else "false"
 
@@ -227,29 +255,15 @@ def hyperplane_block(rows) -> str:
 
 
 def vertex_lines(vertices) -> str:
-    return "\n".join(" ".join(str(x) for x in v) for v in vertices)
+    return "\n".join(_words(v) for v in vertices)
 
 
 def verdict_lines(v: Verdict) -> str:
-    keys = ["mfmc", "normal", "integral", "koenig", "packing",
-            "torsion_free", "ntf"]
     lines = []
-    for k in keys:
+    for k in ("mfmc", "normal", "integral", "koenig", "packing", "torsion_free", "ntf"):
         line = f"{k}: {_bool(getattr(v, k))}"
         if k in v.witnesses:
-            w = v.witnesses[k]
-            if k in ("integral", "normal"):
-                line += "   witness: " + " ".join(str(x) for x in w)
-            elif k == "packing":
-                line += (f"   witness: zeros={list(w.zeros)}"
-                         f" ones={list(w.ones)}")
-            elif k == "koenig":
-                line += f"   covering {w[0]} != matching {w[1]}"
-            elif k == "torsion_free":
-                line += f"   invariant factors {list(w)}"
-            elif k == "ntf":
-                line += (f"   witness: i={w[0]} monomial "
-                         + " ".join(str(x) for x in w[1]))
+            line += WITNESSES[k].text(v.witnesses[k])
         lines.append(line)
     lines.append(f"powers checked up to i = {v.i_max_checked}")
     return "\n".join(lines)
@@ -274,7 +288,7 @@ def tdi_lines(t: TdiReport) -> str:
     else:
         ce = t.counterexample
         lines.append(
-            "duality gap at alpha = " + " ".join(str(x) for x in ce.alpha)
+            "duality gap at alpha = " + _words(ce.alpha)
             + f": rational {ce.rational_value}, integral {ce.integral_value}"
         )
     return "\n".join(lines)
@@ -301,10 +315,6 @@ def render_text(report: Report) -> str:
 # ---------------------------------------------------------------- json
 
 
-def _frac_str(x) -> str:
-    return str(Fraction(x))
-
-
 def facets_to_dict(fc: FacetClassification) -> dict:
     return {"coordinate_indices": list(fc.coordinate_indices),
             "vertex_normals": [list(f) for f in fc.vertex_normals]}
@@ -322,41 +332,10 @@ def powers_to_list(rows) -> list:
     return [asdict(r) for r in rows]
 
 
-def _witnesses_to_json(w: dict) -> dict:
-    out = {}
-    for k, v in w.items():
-        if k == "integral":
-            out[k] = [_frac_str(x) for x in v]
-        elif k == "packing":
-            out[k] = {"zeros": list(v.zeros), "ones": list(v.ones)}
-        elif k == "ntf":
-            out[k] = {"i": v[0], "monomial": list(v[1])}
-        elif k == "koenig":
-            out[k] = {"covering": v[0], "matching": v[1]}
-        else:
-            out[k] = list(v)
-    return out
-
-
-def _witnesses_from_json(data: dict) -> dict:
-    out = {}
-    for k, v in data.items():
-        if k == "integral":
-            out[k] = tuple(Fraction(s) for s in v)
-        elif k == "packing":
-            out[k] = MinorSpec(tuple(v["zeros"]), tuple(v["ones"]))
-        elif k == "ntf":
-            out[k] = (v["i"], tuple(v["monomial"]))
-        elif k == "koenig":
-            out[k] = (v["covering"], v["matching"])
-        else:
-            out[k] = tuple(v)
-    return out
-
-
 def verdict_to_dict(v: Verdict) -> dict:
     """The verdict's fields as JSON-ready values, keyed by field name."""
-    return dict(vars(v), witnesses=_witnesses_to_json(v.witnesses))
+    return dict(vars(v), witnesses={k: WITNESSES[k].to_json(w)
+                                    for k, w in v.witnesses.items()})
 
 
 def scan_to_dict(report: ScanReport) -> dict:
@@ -406,7 +385,8 @@ def report_from_dict(data: dict) -> Report:
     doc = InputDocument(matrix, tuple(inp["labels"]), inp["mode"],
                         inp["source_format"])
     dv = data["verdict"]
-    verdict = Verdict(**dict(dv, witnesses=_witnesses_from_json(dv["witnesses"])))
+    verdict = Verdict(**dict(dv, witnesses={k: WITNESSES[k].from_json(w)
+                                            for k, w in dv["witnesses"].items()}))
     basis = tuple(tuple(z) for z in data["hilbert_basis"])
     sh = data["support_hyperplanes"]
     fc = FacetClassification(

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from mfmckit.clutters import (
@@ -254,6 +256,32 @@ def test_packing_implies_koenig(random100):
             assert isinstance(witness, MinorSpec)
             failing = minor(c, witness)
             assert isinstance(failing, Clutter) and not koenig(failing)
+
+
+@pytest.mark.parametrize("bounds", [None, (4, 4), (5, 3)],
+                         ids=["random100", "scan4x4", "scan5x3"])
+def test_packing_matches_the_minor_oracle(bounds, random100):
+    for c in random100 if bounds is None else enumerate_clutters(*bounds):
+        # the first failing spec of the minor-by-minor route
+        oracle = next(((False, s) for s, m in all_minors(c) if not koenig(m)),
+                      (True, None))
+        result = packing_property(c)
+        assert result == oracle
+        assert packing_property(c, covers=minimal_vertex_covers(c)) == result
+
+
+def test_packing_keeps_the_minor_route_caps():
+    # minor enumeration is checked first, then the matching search on
+    # the clutter itself (28 edges)
+    k8 = clutter_from_edges(8, list(itertools.combinations(range(8), 2)))
+    path13 = clutter_from_edges(13, [(i, i + 1) for i in range(12)])
+    for c, message in [
+        (k8, "matching search: needs 268435456 states, cap is 16777216"),
+        (path13, "minor enumeration: needs 1594323 states, cap is 531441"),
+    ]:
+        with pytest.raises(SizeLimit) as exc:
+            packing_property(c)
+        assert str(exc.value) == message
 
 
 def test_matching_cap():

@@ -23,7 +23,7 @@ from mfmckit.decisions import (
 )
 from mfmckit.errors import SizeLimit
 from mfmckit.linalg import dot
-from mfmckit.reporting import InputDocument, analyze, parse_input, powers_table
+from mfmckit.reporting import analyze, parse_input, powers_table
 
 from oracles import (
     brute_alpha0,
@@ -296,37 +296,26 @@ def test_packing_failures_have_checkable_witness(random100):
 # each counted function, by the module that defines it
 COUNTED = {"ordinary_power": ideals, "symbolic_power": ideals,
            "closure_power": ideals, "qa_vertices_direct": cones,
-           "support_hyperplanes": cones, "hilbert_basis": hilbert}
+           "support_hyperplanes": cones, "hilbert_basis": hilbert,
+           "minimal_vertex_covers": clutters, "minor": clutters}
 
 
 def count_calls(monkeypatch) -> Counter:
     """Count calls of the counted functions made through any mfmckit
-    module attribute that refers to them.  Calls of
-    minimal_vertex_covers are kept apart, as the list of clutters they
-    were made on, in calls.covers_of: packing_property runs it on every
-    minor, and only the calls on the analysed clutter are pinned."""
+    module attribute that refers to them."""
     calls = Counter()
-    calls.covers_of = []
     modules = [m for name, m in sys.modules.items()
                if name == "mfmckit" or name.startswith("mfmckit.")]
-    for name, home in dict(COUNTED, minimal_vertex_covers=clutters).items():
+    for name, home in COUNTED.items():
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            if _name == "minimal_vertex_covers":
-                calls.covers_of.append(args[0])
-            else:
-                calls[_name] += 1
+            calls[_name] += 1
             return _original(*args, **kwargs)
         for mod in modules:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     return calls
-
-
-def covers_runs_on(calls, c) -> int:
-    """minimal_vertex_covers calls on the Clutter object c itself."""
-    return sum(x is c for x in calls.covers_of)
 
 
 @pytest.mark.parametrize("text", [
@@ -335,31 +324,27 @@ def covers_runs_on(calls, c) -> int:
 ], ids=["C5", "reference"])
 def test_analyze_computes_each_object_once(monkeypatch, text):
     doc = parse_input(text)
-    made = []
-    clutter = InputDocument.clutter
-    monkeypatch.setattr(InputDocument, "clutter",
-                        lambda d: made.append(clutter(d)) or made[-1])
     calls = count_calls(monkeypatch)
     analyze(doc, i_max=3, tdi_bound=2)
-    # basic-solution vertices run once, as the cross-check of the facet route
+    # basic-solution vertices run once, as the cross-check of the facet
+    # route; the packing check reads the same covers and builds no minor
     assert calls == {"ordinary_power": 3, "symbolic_power": 3, "closure_power": 3,
                      "qa_vertices_direct": 1, "support_hyperplanes": 1,
-                     "hilbert_basis": 1}
-    assert len(made) == 1 and covers_runs_on(calls, made[0]) == 1
+                     "hilbert_basis": 1, "minimal_vertex_covers": 1}
 
 
 def test_decisions_skip_basic_solution_vertices(monkeypatch, random100, tmp_path,
                                                 capsys):
     calls = count_calls(monkeypatch)
-    for c in random100[:10]:
+    for k, c in enumerate(random100[:10], start=1):
         decide_mfmc(c, i_max=2)
-        assert covers_runs_on(calls, c) == 1
+        assert calls["minimal_vertex_covers"] == k
     conjecture_scan(random100[:10])
     path = tmp_path / "c5.in"
     path.write_text("edge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 1 5\n")
     assert main(["mfmc", str(path), "--imax", "2"]) == 0
     assert "mfmc: false" in capsys.readouterr().out
-    assert calls["qa_vertices_direct"] == 0
+    assert calls["qa_vertices_direct"] == calls["minor"] == 0
     assert calls["support_hyperplanes"] > 0
 
 
@@ -370,7 +355,7 @@ def test_analyze_checks_the_tdi_box_first(monkeypatch):
     with pytest.raises(SizeLimit) as exc:
         analyze(doc, tdi_bound=30)
     assert str(exc.value) == "tdi demand box: needs 28629151 states, cap is 1000000"
-    assert calls == {} and calls.covers_of == []
+    assert calls == {}
 
 
 def test_analysis_gives_the_clutter_results(random100):
