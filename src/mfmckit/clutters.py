@@ -182,11 +182,17 @@ def minor(c: Clutter, spec: MinorSpec):
 
 
 def _minor_specs(n: int):
-    # assignment order: keep < zero < one per vertex, lexicographic
-    for assign in itertools.product((0, 1, 2), repeat=n):
-        zeros = tuple(i for i, a in enumerate(assign) if a == 1)
-        ones = tuple(i for i, a in enumerate(assign) if a == 2)
-        yield MinorSpec(zeros, ones)
+    # (zeros, ones) bitmasks; assignment order: keep < zero < one per
+    # vertex, lexicographic
+    choices = [((0, 0), (1 << i, 0), (0, 1 << i)) for i in range(n)]
+    for assign in itertools.product(*choices):
+        yield sum(z for z, _ in assign), sum(o for _, o in assign)
+
+
+def _spec(zeros: int, ones: int) -> MinorSpec:
+    def members(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return MinorSpec(members(zeros), members(ones))
 
 
 def all_minors(c: Clutter, cap: int = MINOR_CAP):
@@ -200,7 +206,8 @@ def all_minors(c: Clutter, cap: int = MINOR_CAP):
     if total > cap:
         raise SizeLimit("minor enumeration", total, cap)
     out, seen = [], set()
-    for spec in _minor_specs(c.n):
+    for zeros, ones in _minor_specs(c.n):
+        spec = _spec(zeros, ones)
         m = minor(c, spec)
         if isinstance(m, NonMinor):
             continue
@@ -279,15 +286,13 @@ def packing_property(c: Clutter, cap: int = MINOR_CAP, covers=None):
     blocker = [sum(1 << v for v in b) for b in covers]
     edges = c.edge_masks()
     # the first spec keeps every edge, so the matching cap fires there
-    for spec in _minor_specs(c.n):
-        zeros = sum(1 << v for v in spec.zeros)
-        ones = sum(1 << v for v in spec.ones)
+    for zeros, ones in _minor_specs(c.n):
         kept = [e & ~ones for e in edges if not e & zeros]
         if not kept or not all(kept):
             continue  # the zero or the unit ideal
         tau = min((b & ~zeros).bit_count() for b in blocker if not b & ones)
         if _disjoint_edges(kept, tau) < tau:
-            return False, spec
+            return False, _spec(zeros, ones)
     return True, None
 
 

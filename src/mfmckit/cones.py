@@ -3,7 +3,9 @@
 The double description pass keeps an explicit lineality basis, so the
 dual of a lower-dimensional cone is representable (as +/- ray pairs).
 Rays carry bitmask zero-sets over the processed constraints; adjacency
-uses the standard combinatorial test.
+uses the standard combinatorial test.  The pass runs as a step
+generator, so the placing triangulation reads each insertion step off
+the same pass that yields the facets.
 """
 
 from __future__ import annotations
@@ -46,8 +48,11 @@ def _insertion_order(vectors):
     return sorted(vectors, key=lambda v: (sum(v), v))
 
 
-def _dual_rays(constraints, dim):
-    """Extreme rays and lineality basis of {y : <y, c> >= 0 for all c}."""
+def _dd_steps(constraints, dim):
+    """Insert the constraints one at a time into the double description
+    of {y : <y, c> >= 0}.  After each one, yield whether it raised the
+    span of those so far, the zero sets of the rays it cut off, and the
+    current [vector, zero-set] rays and lineality basis (live lists)."""
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []  # [vector, zero-set bitmask]
     for idx, c in enumerate(constraints):
@@ -74,6 +79,7 @@ def _dual_rays(constraints, dim):
                 new_rays.append([vec, z | bit])
             new_rays.append([l0, bit - 1])
             lin, rays = new_lin, new_rays
+            yield True, (), rays, lin
             continue
         pos, zero, neg = [], [], []
         for ray in rays:
@@ -84,10 +90,6 @@ def _dual_rays(constraints, dim):
                 neg.append((ray, p))
             else:
                 zero.append(ray)
-        if not neg:
-            for ray in zero:
-                ray[1] |= bit
-            continue
         survivors = [ray for ray, _ in pos]
         for ray in zero:
             ray[1] |= bit
@@ -104,7 +106,15 @@ def _dual_rays(constraints, dim):
                 w = primitive(tuple(pp * b - pn * a for a, b in zip(rp[0], rn[0])))
                 survivors.append([w, meet | bit])
         rays = survivors
-    return [tuple(v) for v, _ in rays], [tuple(l) for l in lin]
+        yield False, [ray[1] for ray, _ in neg], rays, lin
+
+
+def _dual_rays(constraints, dim):
+    """Extreme rays and lineality basis of {y : <y, c> >= 0 for all c},
+    for a non-empty constraint list."""
+    for _, _, rays, lin in _dd_steps(constraints, dim):
+        pass
+    return [v for v, _ in rays], list(lin)
 
 
 def dualize(cone: RationalCone) -> RationalCone:

@@ -148,22 +148,21 @@ def tdi_bounded_check(source, bound: int = 2) -> TdiReport:
     require_tdi_box(n, bound)
     cols = a.clutter.matrix.columns
     best = {}
-    grid = list(itertools.product(range(bound + 1), repeat=n))
-    for r in grid:
+    # lexicographic order visits every alpha - v before alpha
+    demands = itertools.product(range(bound + 1), repeat=n)
+    for checked, alpha in enumerate(demands, start=1):
         top = 0
         for v in cols:
-            if all(x <= y for x, y in zip(v, r)):
-                prev = best[tuple(x - y for x, y in zip(r, v))]
+            if all(x <= y for x, y in zip(v, alpha)):
+                prev = best[tuple(x - y for x, y in zip(alpha, v))]
                 if prev + 1 > top:
                     top = prev + 1
-        best[r] = top
-    checked = 0
-    for alpha in grid:
-        checked += 1
-        rational = min(dot(alpha, v) for v in a.vertices)
-        if best[alpha] < rational:
-            return TdiReport(bound, checked,
-                             TdiCounterexample(alpha, rational, best[alpha]))
+        best[alpha] = top
+        # a gap: top < <alpha, v> at every vertex v = alpha'/b of Q(A),
+        # tested in integers on its normal (alpha', -b)
+        if all(dot(alpha + (top,), f) > 0 for f in a.facets.vertex_normals):
+            rational = min(dot(alpha, v) for v in a.vertices)
+            return TdiReport(bound, checked, TdiCounterexample(alpha, rational, top))
     return TdiReport(bound, checked)
 
 

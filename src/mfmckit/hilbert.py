@@ -2,7 +2,10 @@
 
 The basis is computed by a placing triangulation of the generator list,
 lattice-point enumeration inside each fundamental parallelepiped, and a
-global irreducibility reduction against the facet description.
+global irreducibility reduction against the facet description.  The
+triangulation and the facets come from one double description pass:
+each insertion step names the facets the new generator sees and the
+generators on each.
 """
 
 from __future__ import annotations
@@ -10,49 +13,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import RationalCone, _insertion_order, facet_normals, rees_cone
+from .cones import _dd_steps, _insertion_order, rees_cone
 from .errors import InconsistencyError, SizeLimit
-from .linalg import det, dot, rank, smith_invariant_factors, solve_square
+from .linalg import det, dot, smith_invariant_factors, solve_square
 
 DET_CAP = 10 ** 6
 
 
 def _placing_triangulation(gens, dim):
-    """Simplicial subcones covering cone(gens), inserting in list order.
+    """Simplicial subcones covering cone(gens), inserting in list order,
+    and the cone's facet normals, read off one double description pass.
 
-    A generator raising the linear span joins every current simplex; a
-    generator outside the current cone is joined to the boundary faces
-    it sees.  Interior generators add nothing.
+    Simplices are bitmasks over positions in gens.  A generator raising
+    the linear span joins every current simplex.  Otherwise the facets it
+    cuts off are the ones it sees, each zero set holding the generators
+    on that facet, and it joins every (dim-1)-face of a simplex lying on
+    one of them.  Interior generators cut nothing off.
     """
-    simplices = []
-    processed = []
-    rk = 0
-    for g in gens:
-        if not processed:
-            processed.append(g)
-            simplices = [(g,)]
-            rk = 1
-            continue
-        new_rk = rank(processed + [g])
-        if new_rk > rk:
-            simplices = [s + (g,) for s in simplices]
-            processed.append(g)
-            rk = new_rk
-            continue
-        if rk != dim:
+    simplices = [0]
+    for idx, (raised, cut, rays, lin) in enumerate(_dd_steps(gens, dim)):
+        bit = 1 << idx
+        if raised:
+            simplices = [s | bit for s in simplices]
+        elif lin:
             raise ValueError("placing step inside a proper subspace")
-        hull = facet_normals(RationalCone(dim, tuple(processed)))
-        visible = [f for f in hull if dot(g, f) < 0]
-        if visible:
-            faces = set()
-            for f in visible:
-                for s in simplices:
-                    tight = tuple(t for t in s if dot(t, f) == 0)
-                    if len(tight) == dim - 1:
-                        faces.add(tight)
-            simplices.extend(face + (g,) for face in faces)
-        processed.append(g)
-    return simplices
+        else:
+            faces = {s & z for z in cut for s in simplices}
+            simplices += [f | bit for f in faces if f.bit_count() == dim - 1]
+    return simplices, tuple(sorted(v for v, _ in rays))
 
 
 def _parallelepiped_points(simplex, dim, det_cap):
@@ -97,11 +85,11 @@ def hilbert_basis(m, det_cap: int = DET_CAP):
     rc = rees_cone(m)
     dim = rc.cone.dim
     gens = _insertion_order(rc.cone.generators)
-    facets = facet_normals(rc.cone)
+    simplices, facets = _placing_triangulation(gens, dim)
     candidates = set(gens)
-    for s in _placing_triangulation(gens, dim):
-        if len(s) == dim:
-            candidates.update(_parallelepiped_points(s, dim, det_cap))
+    for s in simplices:
+        members = [g for i, g in enumerate(gens) if s >> i & 1]
+        candidates.update(_parallelepiped_points(members, dim, det_cap))
 
     def member(p):
         return all(x >= 0 for x in p) and all(dot(p, f) >= 0 for f in facets)

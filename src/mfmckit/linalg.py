@@ -77,36 +77,6 @@ def solve_square(rows, rhs):
     return tuple(xs)
 
 
-def rank(rows) -> int:
-    """Rank of an integer matrix via fraction-free elimination."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    if m == 0:
-        return 0
-    w = len(a[0])
-    r, prev = 0, 1
-    for c in range(w):
-        p = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, m):
-            f = a[i][c]
-            ai, ar = a[i], a[r]
-            # rows with f == 0 still rescale by piv/prev, else later
-            # exact divisions break
-            for j in range(c + 1, w):
-                ai[j] = _exact_div(piv * ai[j] - f * ar[j], prev)
-            ai[c] = 0
-        prev = piv
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 def det(rows) -> int:
     """Determinant of an integer square matrix (Bareiss)."""
     n = len(rows)

@@ -3,7 +3,10 @@
 Everything here favors obviousness over speed and shares no code with
 the package: rational Gaussian elimination instead of fraction-free
 pivoting, subset enumeration instead of double description, cofactor
-determinants instead of integer reduction.  Desk-scale inputs only.
+determinants instead of integer reduction.  The one exception is the
+placing triangulation, which recomputes every hull from scratch with
+the package's facet_normals instead of reading the incremental pass.
+Desk-scale inputs only.
 """
 
 import itertools
@@ -12,6 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from mfmckit.clutters import clutter_from_edges
+from mfmckit.cones import RationalCone, facet_normals
 
 
 # ---------------------------------------------------------------- rationals
@@ -119,6 +123,31 @@ def brute_facets(generators, dim):
         elif all(d <= 0 for d in dots):
             out.add(tuple(-x for x in normal))
     return out
+
+
+def placing_triangulation(gens, dim):
+    """Simplices (generator tuples) of the placing triangulation in list
+    order: a generator raising the rank joins every simplex; any other
+    is joined to each (dim-1)-face of a simplex lying on a facet of the
+    processed prefix that it sees."""
+    simplices, processed = [()], []
+    for g in gens:
+        if frac_rank(processed + [g]) > frac_rank(processed):
+            simplices = [s + (g,) for s in simplices]
+        elif frac_rank(processed) != dim:
+            raise ValueError("placing step inside a proper subspace")
+        else:
+            faces = set()
+            for f in facet_normals(RationalCone(dim, tuple(processed))):
+                if sum(a * b for a, b in zip(g, f)) < 0:
+                    for s in simplices:
+                        tight = tuple(
+                            t for t in s if sum(a * b for a, b in zip(t, f)) == 0)
+                        if len(tight) == dim - 1:
+                            faces.add(tight)
+            simplices += [face + (g,) for face in faces]
+        processed.append(g)
+    return simplices
 
 
 # ---------------------------------------------------------------- covers

@@ -1,13 +1,18 @@
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
-from mfmckit.clutters import ExponentMatrix
-from mfmckit.cones import attach_facets, cone_member, rees_cone
+from mfmckit import cones, hilbert
+from mfmckit.clutters import ExponentMatrix, clutter_from_edges
+from mfmckit.cones import (
+    _insertion_order, attach_facets, cone_member, facet_normals, rees_cone)
 from mfmckit.errors import SizeLimit
-from mfmckit.hilbert import hilbert_basis, is_normal, semigroup_member, smith_invariants
+from mfmckit.hilbert import (
+    _placing_triangulation, hilbert_basis, is_normal, semigroup_member,
+    smith_invariants)
 
-from oracles import decomposes, monoid_member, snf_by_minors
+from oracles import decomposes, monoid_member, placing_triangulation, snf_by_minors
 
 REFERENCE_BASIS = (
     (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0),
@@ -16,10 +21,73 @@ REFERENCE_BASIS = (
 )
 
 
+FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
+        (2, 4, 5))
+
+# cycles, circulants C_n^3, complete graphs and the Fano plane
+TRIANGULATION_CORPUS = {
+    **{f"c{n}": (n, [(i, (i + 1) % n) for i in range(n)]) for n in range(9, 13)},
+    **{f"circ{n}_3": (n, [tuple(sorted((i + j) % n for j in range(3)))
+                          for i in range(n)]) for n in range(9, 12)},
+    **{f"k{n}": (n, list(combinations(range(n), 2))) for n in range(5, 8)},
+    "fano": (7, FANO),
+}
+
+
 def _lifted_rows(m):
     rows = [m.row(i) for i in range(m.n)]
     rows.append((1,) * m.q)
     return rows
+
+
+# ---------------------------------------------------------------- triangulation
+
+
+def assert_triangulation_matches_oracle(m):
+    cone = rees_cone(m).cone
+    gens = _insertion_order(cone.generators)
+    simplices, facets = _placing_triangulation(gens, cone.dim)
+    members = [frozenset(g for i, g in enumerate(gens) if s >> i & 1)
+               for s in simplices]
+    expected = placing_triangulation(gens, cone.dim)
+    assert len(members) == len(expected)
+    assert set(members) == {frozenset(s) for s in expected}
+    assert facets == facet_normals(cone)
+
+
+@pytest.mark.parametrize("name", TRIANGULATION_CORPUS)
+def test_triangulation_matches_the_oracle(name):
+    n, edges = TRIANGULATION_CORPUS[name]
+    assert_triangulation_matches_oracle(clutter_from_edges(n, edges).matrix)
+
+
+def test_triangulation_matches_the_oracle_on_random100(random100):
+    for c in random100:
+        assert_triangulation_matches_oracle(c.matrix)
+
+
+def test_placing_step_inside_a_proper_subspace():
+    # (1,1,0) lies in the span of the first two, which is not yet all of Q^3
+    gens = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    with pytest.raises(ValueError, match="placing step inside a proper subspace"):
+        _placing_triangulation(gens, 3)
+
+
+def test_hilbert_basis_makes_one_dd_pass(monkeypatch, random100):
+    calls = Counter()
+    for mod in (cones, hilbert):
+        for name in ("_dd_steps", "facet_normals"):
+            original = getattr(mod, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(mod, name, counted)
+    for k, c in enumerate(random100[:10], start=1):
+        hilbert_basis(c.matrix)
+        assert calls == {"_dd_steps": k}
 
 
 # ---------------------------------------------------------------- basis

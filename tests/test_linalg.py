@@ -10,12 +10,11 @@ from mfmckit.linalg import (
     dot,
     fraction_vector_to_normal,
     primitive,
-    rank,
     smith_invariant_factors,
     solve_square,
 )
 
-from oracles import frac_det, frac_rank, frac_solve, snf_by_minors
+from oracles import frac_det, frac_solve, snf_by_minors
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -93,16 +92,6 @@ def test_det_zero_exactly_when_solve_fails():
         assert (d == 0) == (x is None)
         singular += d == 0
     assert 30 < singular < 270  # both branches are exercised
-
-
-def test_rank_against_rational_elimination():
-    for seed in range(80):
-        rng = random.Random(seed)
-        rows = [[rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]]
-        w = len(rows[0])
-        for _ in range(rng.randint(0, 4)):
-            rows.append([rng.randint(-3, 3) for _ in range(w)])
-        assert rank(rows) == frac_rank(rows)
 
 
 def test_det_against_rational_elimination():
