@@ -9,18 +9,7 @@ import sys
 from .clutters import MINOR_CAP, enumerate_clutters
 from .cones import qa_vertices_via_rees, support_hyperplanes
 from .decisions import conjecture_scan, decide_mfmc
-from .errors import (
-    ClassificationError,
-    EmptyEdge,
-    InconsistencyError,
-    NotAntichain,
-    NotSquareFree,
-    NotZeroOne,
-    OverlappingSpec,
-    ParseError,
-    SizeLimit,
-    ZeroCone,
-)
+from .errors import ClassificationError, InconsistencyError, MfmcError, SizeLimit
 from .hilbert import hilbert_basis
 from .reporting import (
     analyze,
@@ -40,9 +29,6 @@ from .reporting import (
     vertex_lines,
     vertices_to_list,
 )
-
-INPUT_ERRORS = (ParseError, NotZeroOne, NotAntichain, EmptyEdge,
-                OverlappingSpec, NotSquareFree, ZeroCone)
 
 
 def _read(path: str) -> str:
@@ -161,12 +147,12 @@ def main(argv=None) -> int:
     except SizeLimit as e:
         print(f"size limit: {e}", file=sys.stderr)
         return 3
-    except INPUT_ERRORS as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
     except (InconsistencyError, ClassificationError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4
+    except MfmcError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

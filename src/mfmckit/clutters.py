@@ -14,6 +14,8 @@ from math import comb
 from .errors import EmptyEdge, NotAntichain, NotZeroOne, OverlappingSpec, SizeLimit
 
 MINOR_CAP = 3 ** 12
+COVER_VERTEX_CAP = 20
+MATCHING_EDGE_CAP = 24
 ENUMERATION_CAP = 1_000_000
 
 
@@ -219,7 +221,7 @@ def all_minors(c: Clutter, cap: int = MINOR_CAP):
     return tuple(out)
 
 
-def minimal_vertex_covers(c: Clutter, max_vertices: int = 20):
+def minimal_vertex_covers(c: Clutter, max_vertices: int = COVER_VERTEX_CAP):
     """All minimal transversals, as sorted index tuples in canonical order."""
     n = c.n
     if n > max_vertices:
@@ -240,7 +242,7 @@ def covering_number(c: Clutter) -> int:
     return min(len(t) for t in minimal_vertex_covers(c))
 
 
-def _disjoint_edges(masks, target: int, max_edges: int = 24) -> int:
+def _disjoint_edges(masks, target: int, max_edges: int = MATCHING_EDGE_CAP) -> int:
     """Most pairwise-disjoint masks, by exhaustion; stops once target are found."""
     if len(masks) > max_edges:
         raise SizeLimit("matching search", 2 ** len(masks), 2 ** max_edges)
@@ -260,7 +262,7 @@ def _disjoint_edges(masks, target: int, max_edges: int = 24) -> int:
     return best
 
 
-def matching_number(c: Clutter, max_edges: int = 24) -> int:
+def matching_number(c: Clutter, max_edges: int = MATCHING_EDGE_CAP) -> int:
     """Largest number of pairwise vertex-disjoint edges, by exhaustion."""
     return _disjoint_edges(c.edge_masks(), c.q, max_edges)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .errors import ClassificationError, SizeLimit, ZeroCone
 from .linalg import dot, fraction_vector_to_normal, primitive, solve_square
@@ -261,10 +261,7 @@ def qa_vertices_direct(m, cap: int = QA_ENUM_CAP) -> QAPolyhedron:
         x = solve_square([rows[i] for i in subset], [rhs[i] for i in subset])
         if x is None:
             continue
-        den = 1
-        for f in x:
-            den = den * f.denominator // gcd(den, f.denominator)
-        nums = [int(f * den) for f in x]
+        nums, den = fraction_vector_to_normal(x)
         if any(v < 0 for v in nums):
             continue
         if all(dot(c, nums) >= den for c in cols):

@@ -15,7 +15,7 @@ from functools import cached_property
 from .clutters import (
     Clutter,
     MINOR_CAP,
-    matching_number,
+    _disjoint_edges,
     minimal_vertex_covers,
     packing_property,
 )
@@ -171,34 +171,22 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     require_i_max(i_max)
     a = as_analysis(source)
     c = a.clutter
-    normal, normal_wit = is_normal(c.matrix, a.basis)
-    integral, frac_vertex = is_integral_qa(c.matrix, a.vertices)
-    covering, matching = min(map(len, a.covers)), matching_number(c)
-    packing_ok, packing_wit = packing_property(c, minor_cap, a.covers)
+    # {fact: (holds, witness)} in Verdict field order, evaluated in turn
+    facts = {"normal": is_normal(c.matrix, a.basis),
+             "integral": is_integral_qa(c.matrix, a.vertices)}
+    # nu <= tau, so a search stopping at tau finds nu exactly
+    tau = min(map(len, a.covers))
+    nu = _disjoint_edges(c.edge_masks(), tau)
+    facts["koenig"] = tau == nu, (tau, nu)
+    facts["packing"] = packing_property(c, minor_cap, a.covers)
     smith = smith_invariants(c.matrix)
+    facts["torsion_free"] = smith.torsion_free, smith.factors
     ntf = ntf_check(a, i_max)
-    witnesses = {}
-    if not normal:
-        witnesses["normal"] = normal_wit
-    if not integral:
-        witnesses["integral"] = frac_vertex
-    if covering != matching:
-        witnesses["koenig"] = (covering, matching)
-    if not packing_ok:
-        witnesses["packing"] = packing_wit
-    if not smith.torsion_free:
-        witnesses["torsion_free"] = smith.factors
-    if not ntf.ok:
-        witnesses["ntf"] = (ntf.failed_i, ntf.witness)
+    facts["ntf"] = ntf.ok, (ntf.failed_i, ntf.witness)
     return Verdict(
-        mfmc=normal and integral,
-        normal=normal,
-        integral=integral,
-        koenig=covering == matching,
-        packing=packing_ok,
-        torsion_free=smith.torsion_free,
-        ntf=ntf.ok,
-        witnesses=witnesses,
+        mfmc=facts["normal"][0] and facts["integral"][0],
+        **{k: holds for k, (holds, _) in facts.items()},
+        witnesses={k: w for k, (holds, w) in facts.items() if not holds},
         i_max_checked=i_max,
     )
 

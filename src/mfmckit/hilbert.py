@@ -5,7 +5,8 @@ lattice-point enumeration inside each fundamental parallelepiped, and a
 global irreducibility reduction against the facet description.  The
 triangulation and the facets come from one double description pass:
 each insertion step names the facets the new generator sees and the
-generators on each.
+generators on each.  R[It] is normal exactly when the basis is the
+generator set; semigroup membership stays as the independent check.
 """
 
 from __future__ import annotations
@@ -139,11 +140,13 @@ def semigroup_member(m, z) -> bool:
 
 
 def is_normal(m, basis=None):
-    """(True, None) when every Hilbert basis element is reachable by the
-    generators, else (False, lexicographically least failing element).
-    basis, when given, is m's sorted Hilbert basis, already computed."""
+    """(True, None) when the Hilbert basis is the generator set, else
+    (False, least basis element that is not a generator): an irreducible
+    sum of generators is a generator, so semigroup_member, the oracle,
+    fails exactly there.  basis, when given, is m's sorted Hilbert basis."""
+    gens = set(rees_cone(m).cone.generators)
     for z in basis or hilbert_basis(m):
-        if not semigroup_member(m, z):
+        if z not in gens:
             return False, z
     return True, None
 

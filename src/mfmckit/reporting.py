@@ -218,7 +218,7 @@ def _words(xs) -> str:
     return " ".join(str(x) for x in xs)
 
 
-# per witness kind: its text-line suffix, its JSON value and the read-back
+# per Verdict fact after mfmc, in field order: witness text, JSON value, read-back
 Witness = namedtuple("Witness", "text to_json from_json")
 WITNESSES = {
     "normal": Witness(lambda w: "   witness: " + _words(w), list, tuple),
@@ -260,7 +260,7 @@ def vertex_lines(vertices) -> str:
 
 def verdict_lines(v: Verdict) -> str:
     lines = []
-    for k in ("mfmc", "normal", "integral", "koenig", "packing", "torsion_free", "ntf"):
+    for k in ("mfmc", *WITNESSES):
         line = f"{k}: {_bool(getattr(v, k))}"
         if k in v.witnesses:
             line += WITNESSES[k].text(v.witnesses[k])

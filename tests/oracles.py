@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from mfmckit.clutters import clutter_from_edges
+from mfmckit.clutters import ExponentMatrix, clutter_from_edges
 from mfmckit.cones import RationalCone, facet_normals
 
 
@@ -363,4 +363,23 @@ def random_clutters(count=100, seed=20260815, max_n=6, max_q=8):
         remap = {v: i for i, v in enumerate(used)}
         out.append(clutter_from_edges(
             len(used), [sorted(remap[v] for v in e) for e in chosen]))
+    return out
+
+
+def random_exponent_matrices(count=150, seed=20261018, max_n=4, max_q=4,
+                             max_entry=3):
+    """Deterministic pseudo-random general (not 0/1) exponent matrices:
+    distinct non-zero columns, none dominating another, some entry > 1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_n)
+        cols = {tuple(rng.randint(0, max_entry) for _ in range(n))
+                for _ in range(rng.randint(1, max_q))}
+        if all(x <= 1 for c in cols for x in c) or not all(map(any, cols)):
+            continue
+        if any(all(x <= y for x, y in zip(a, b))
+               for a, b in itertools.permutations(cols, 2)):
+            continue
+        out.append(ExponentMatrix(tuple(sorted(cols))))
     return out

@@ -6,6 +6,8 @@ import re
 import pytest
 
 from mfmckit.cli import main
+from mfmckit.errors import (
+    ClassificationError, InconsistencyError, MfmcError, SizeLimit)
 
 from test_reporting import REFERENCE_INPUT, REFERENCE_TEXT
 
@@ -313,6 +315,32 @@ def test_classification_error_exit_code(capsys, reference_file, monkeypatch):
     rc, out, err = run(capsys, ["facets", reference_file])
     assert (rc, out) == (4, "")
     assert err == "internal error: normal fits neither family\n"
+
+
+def _concrete_errors(cls=MfmcError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _concrete_errors(sub)
+
+
+@pytest.mark.parametrize("error", list(_concrete_errors()),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_class_has_an_exit_code(capsys, reference_file, monkeypatch,
+                                            error):
+    import mfmckit.cli as cli
+
+    def failing(text):
+        # built without __init__, whose signature differs from class to class
+        raise error.__new__(error, "boom")
+    monkeypatch.setattr(cli, "parse_input", failing)
+    if issubclass(error, SizeLimit):
+        expected = 3, "size limit: "
+    elif issubclass(error, (InconsistencyError, ClassificationError)):
+        expected = 4, "internal error: "
+    else:
+        expected = 2, "input error: "
+    rc, out, err = run(capsys, ["facets", reference_file])
+    assert (rc, out, err) == (expected[0], "", expected[1] + "boom\n")
 
 
 @pytest.mark.parametrize("argv", [

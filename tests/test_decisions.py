@@ -7,7 +7,8 @@ import pytest
 
 from mfmckit import clutters, cones, hilbert, ideals
 from mfmckit.cli import main
-from mfmckit.clutters import MinorSpec, packing_property
+from mfmckit.clutters import (
+    MinorSpec, covering_number, matching_number, packing_property)
 from mfmckit.cones import qa_vertices_direct
 from mfmckit.decisions import (
     TDI_BOX_CAP,
@@ -22,6 +23,7 @@ from mfmckit.decisions import (
     tdi_bounded_check,
 )
 from mfmckit.errors import SizeLimit
+from mfmckit.hilbert import hilbert_basis, semigroup_member
 from mfmckit.linalg import dot
 from mfmckit.reporting import analyze, parse_input, powers_table
 
@@ -265,6 +267,11 @@ def test_verdict_invariants(random100):
         v = decide_mfmc(c, i_max=2)
         assert v.mfmc == (v.normal and v.integral)
         assert v.mfmc == gr_reduced(c)
+        # the oracle routes: the full matching search and semigroup membership
+        tau, nu = covering_number(c), matching_number(c)
+        assert v.witnesses.get("koenig") == (None if tau == nu else (tau, nu))
+        assert v.normal == all(semigroup_member(c.matrix, z)
+                               for z in hilbert_basis(c.matrix))
         if not v.ntf:
             assert not v.mfmc
         if not v.koenig:
@@ -297,7 +304,8 @@ def test_packing_failures_have_checkable_witness(random100):
 COUNTED = {"ordinary_power": ideals, "symbolic_power": ideals,
            "closure_power": ideals, "qa_vertices_direct": cones,
            "support_hyperplanes": cones, "hilbert_basis": hilbert,
-           "minimal_vertex_covers": clutters, "minor": clutters}
+           "minimal_vertex_covers": clutters, "minor": clutters,
+           "matching_number": clutters, "semigroup_member": hilbert}
 
 
 def count_calls(monkeypatch) -> Counter:
@@ -327,7 +335,8 @@ def test_analyze_computes_each_object_once(monkeypatch, text):
     calls = count_calls(monkeypatch)
     analyze(doc, i_max=3, tdi_bound=2)
     # basic-solution vertices run once, as the cross-check of the facet
-    # route; the packing check reads the same covers and builds no minor
+    # route; the packing check reads the same covers and builds no minor;
+    # neither the membership search nor the full matching search runs
     assert calls == {"ordinary_power": 3, "symbolic_power": 3, "closure_power": 3,
                      "qa_vertices_direct": 1, "support_hyperplanes": 1,
                      "hilbert_basis": 1, "minimal_vertex_covers": 1}
@@ -345,6 +354,7 @@ def test_decisions_skip_basic_solution_vertices(monkeypatch, random100, tmp_path
     assert main(["mfmc", str(path), "--imax", "2"]) == 0
     assert "mfmc: false" in capsys.readouterr().out
     assert calls["qa_vertices_direct"] == calls["minor"] == 0
+    assert calls["semigroup_member"] == calls["matching_number"] == 0
     assert calls["support_hyperplanes"] > 0
 
 

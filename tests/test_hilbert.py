@@ -12,7 +12,9 @@ from mfmckit.hilbert import (
     _placing_triangulation, hilbert_basis, is_normal, semigroup_member,
     smith_invariants)
 
-from oracles import decomposes, monoid_member, placing_triangulation, snf_by_minors
+from oracles import (
+    decomposes, monoid_member, placing_triangulation, random_exponent_matrices,
+    snf_by_minors)
 
 REFERENCE_BASIS = (
     (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0),
@@ -218,17 +220,31 @@ def test_is_normal_examples(reference_matrix, triangle, squares_matrix,
     assert not semigroup_member(squares_matrix, witness)
 
 
-def test_is_normal_matches_basis_reachability(random100):
-    for c in random100[:15]:
-        m = c.matrix
-        expected = all(semigroup_member(m, z) for z in hilbert_basis(m))
-        assert is_normal(m)[0] == expected
+def normal_by_membership(m, basis):
+    """The semigroup_member route: the least basis element it rejects."""
+    failing = [z for z in basis if not semigroup_member(m, z)]
+    return (False, failing[0]) if failing else (True, None)
 
 
-def test_is_normal_witness_is_least(squares_matrix):
-    m = squares_matrix
-    failing = [z for z in hilbert_basis(m) if not semigroup_member(m, z)]
-    assert is_normal(m)[1] == min(failing)
+NORMALITY_FAMILIES = {
+    "random100": lambda fx: [c.matrix for c in fx("random100")],
+    "fixtures": lambda fx: [fx("squares_matrix"), fx("mixed_pair_matrix")],
+    "general": lambda fx: random_exponent_matrices(150, seed=20261018),
+}
+
+
+@pytest.mark.parametrize("family", NORMALITY_FAMILIES)
+def test_is_normal_matches_the_membership_route(request, family):
+    # the generator-set test gives the same verdict and least witness
+    mats = NORMALITY_FAMILIES[family](request.getfixturevalue)
+    verdicts = []
+    for m in mats:
+        basis = hilbert_basis(m)
+        verdicts.append(normal_by_membership(m, basis))
+        assert is_normal(m, basis) == is_normal(m) == verdicts[-1]
+    failing = sum(not ok for ok, _ in verdicts)
+    # the failing branch is exercised: squares_matrix and 36 general matrices
+    assert failing == {"random100": 0, "fixtures": 1, "general": 36}[family]
 
 
 # ---------------------------------------------------------------- torsion

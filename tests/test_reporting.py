@@ -1,9 +1,12 @@
 import json
+from dataclasses import fields
 
 import pytest
 
+from mfmckit.decisions import Verdict
 from mfmckit.errors import DimensionMismatch, NotZeroOne, ParseError, UnsupportedMode
 from mfmckit.reporting import (
+    WITNESSES,
     analyze,
     generator_block,
     hyperplane_block,
@@ -248,3 +251,9 @@ def test_json_fraction_witness():
     assert data["tdi"]["counterexample"]["rational"] == "3/2"
     back = report_from_json(report_to_json(report))
     assert back.verdict.witnesses["integral"] == report.verdict.witnesses["integral"]
+
+
+def test_witness_table_follows_the_verdict_fields():
+    # verdict_lines prints mfmc, then every fact of this table, in order
+    names = [f.name for f in fields(Verdict)]
+    assert ["mfmc", *WITNESSES] == names[:names.index("witnesses")]
