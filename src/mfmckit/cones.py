@@ -51,8 +51,9 @@ def _insertion_order(vectors):
 def _dd_steps(constraints, dim):
     """Insert the constraints one at a time into the double description
     of {y : <y, c> >= 0}.  After each one, yield whether it raised the
-    span of those so far, the zero sets of the rays it cut off, and the
-    current [vector, zero-set] rays and lineality basis (live lists)."""
+    span of those so far, the ([vector, zero-set], <vector, c>) pairs of
+    the rays it cut off, and the current [vector, zero-set] rays and
+    lineality basis (live lists)."""
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []  # [vector, zero-set bitmask]
     for idx, c in enumerate(constraints):
@@ -106,7 +107,7 @@ def _dd_steps(constraints, dim):
                 w = primitive(tuple(pp * b - pn * a for a, b in zip(rp[0], rn[0])))
                 survivors.append([w, meet | bit])
         rays = survivors
-        yield False, [ray[1] for ray, _ in neg], rays, lin
+        yield False, neg, rays, lin
 
 
 def _dual_rays(constraints, dim):
@@ -282,9 +283,3 @@ def is_integral_qa(m, vertices=None):
         if any(x.denominator != 1 for x in v):
             return False, v
     return True, None
-
-
-def vertex_to_facet_normal(vertex):
-    """Primitive (alpha', -b) normal attached to a rational vertex."""
-    nums, b = fraction_vector_to_normal(vertex)
-    return nums + (-b,)

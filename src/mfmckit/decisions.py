@@ -2,7 +2,10 @@
 
 The MFMC verdict is the conjunction of two facts read off the Rees
 cone: the covering polyhedron has integral vertices (its vertex facets)
-and the Rees algebra is normal (Hilbert basis check).
+and the Rees algebra is normal (Hilbert basis check).  By the same
+theorem the ideal is normally torsion free exactly then; the bounded
+power comparison cross-checks that, and a certificate stands in for
+its witness when the first failing power lies past the bound.
 """
 
 from __future__ import annotations
@@ -166,6 +169,27 @@ def tdi_bounded_check(source, bound: int = 2) -> TdiReport:
     return TdiReport(bound, checked)
 
 
+def _ntf_certificate(a: Analysis, facts) -> tuple:
+    """(i, w) with x^w in I^(i) but not in I^i, for a clutter without MFMC.
+
+    A non-normal witness z = (w, i) is a lattice point of the Rees cone
+    outside the generator semigroup, so x^w lies in the closure of I^i,
+    inside I^(i), but not in I^i.  Otherwise take the least fractional vertex v of Q(A)
+    and w the sum of the constraint normals tight at v: the edge columns
+    with <col, v> = 1 and e_k for v_k = 0.  v is then the unique minimiser
+    of <w, x> over Q(A), so the least w-weight i of a minimal cover
+    exceeds <w, v>, and x^w lies in I^(i) but outside the closure of I^i."""
+    normal, z = facts["normal"]
+    if not normal:
+        return z[-1], z[:-1]
+    _, v = facts["integral"]
+    w = [int(x == 0) for x in v]
+    for col in a.clutter.matrix.columns:
+        if dot(col, v) == 1:
+            w = [x + y for x, y in zip(w, col)]
+    return min(sum(w[k] for k in cover) for cover in a.covers), tuple(w)
+
+
 def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     """Full verdict for a clutter; witnesses collected for every failure."""
     require_i_max(i_max)
@@ -181,10 +205,21 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     facts["packing"] = packing_property(c, minor_cap, a.covers)
     smith = smith_invariants(c.matrix)
     facts["torsion_free"] = smith.torsion_free, smith.factors
+    mfmc = facts["normal"][0] and facts["integral"][0]
+    # I is normally torsion free exactly when C has MFMC; the bounded power
+    # scan is the cross-check, and its first failure is the witness
     ntf = ntf_check(a, i_max)
-    facts["ntf"] = ntf.ok, (ntf.failed_i, ntf.witness)
+    witness = ntf.failed_i, ntf.witness
+    if mfmc and not ntf.ok:
+        raise InconsistencyError(f"MFMC holds, but power {witness[0]} fails")
+    if not mfmc and ntf.ok:
+        witness = _ntf_certificate(a, facts)
+        if witness[0] <= i_max:
+            raise InconsistencyError(
+                f"no power up to {i_max} fails, but certificate {witness} does")
+    facts["ntf"] = mfmc, witness
     return Verdict(
-        mfmc=facts["normal"][0] and facts["integral"][0],
+        mfmc=mfmc,
         **{k: holds for k, (holds, _) in facts.items()},
         witnesses={k: w for k, (holds, w) in facts.items() if not holds},
         i_max_checked=i_max,

@@ -1,11 +1,12 @@
 """Hilbert bases of Rees cones, semigroup membership, normality, torsion.
 
 The basis is computed by a placing triangulation of the generator list,
-lattice-point enumeration inside each fundamental parallelepiped, and a
-global irreducibility reduction against the facet description.  The
-triangulation and the facets come from one double description pass:
-each insertion step names the facets the new generator sees and the
-generators on each.  R[It] is normal exactly when the basis is the
+lattice-point enumeration inside each fundamental parallelepiped, and an
+irreducibility reduction against the facet description.  The
+triangulation, each simplex's volume and the facets come from one double
+description pass: each insertion step names the facets the new
+generator sees, the generators on each and the generator's pairing
+with each facet normal.  R[It] is normal exactly when the basis is the
 generator set; semigroup membership stays as the independent check.
 """
 
@@ -16,42 +17,52 @@ from fractions import Fraction
 
 from .cones import _dd_steps, _insertion_order, rees_cone
 from .errors import InconsistencyError, SizeLimit
-from .linalg import det, dot, smith_invariant_factors, solve_square
+from .linalg import _exact_div, dot, smith_invariant_factors, solve_square
 
 DET_CAP = 10 ** 6
 
 
 def _placing_triangulation(gens, dim):
     """Simplicial subcones covering cone(gens), inserting in list order,
-    and the cone's facet normals, read off one double description pass.
+    as {bitmask over positions in gens: volume}, and the cone's facet
+    normals, read off one double description pass.
 
-    Simplices are bitmasks over positions in gens.  A generator raising
-    the linear span joins every current simplex.  Otherwise the facets it
-    cuts off are the ones it sees, each zero set holding the generators
-    on that facet, and it joins every (dim-1)-face of a simplex lying on
-    one of them.  Interior generators cut nothing off.
+    A generator raising the linear span joins every current simplex.
+    Otherwise the facets it cuts off are the ones it sees, each zero set
+    holding the generators on that facet, and it joins every (dim-1)-face
+    F of a simplex F + w lying on one of them.  Interior generators cut
+    nothing off.  det(F + x) is linear in x and vanishes on span F, the
+    facet's hyperplane, so a facet ray v with <v, g> = p gives the new
+    simplex the volume vol(F + w) * -p / <v, w>.  Volumes are |det|
+    relative to the first full simplex.
     """
-    simplices = [0]
+    volumes = {0: 1}
     for idx, (raised, cut, rays, lin) in enumerate(_dd_steps(gens, dim)):
         bit = 1 << idx
         if raised:
-            simplices = [s | bit for s in simplices]
+            volumes = {s | bit: vol for s, vol in volumes.items()}
         elif lin:
             raise ValueError("placing step inside a proper subspace")
         else:
-            faces = {s & z for z in cut for s in simplices}
-            simplices += [f | bit for f in faces if f.bit_count() == dim - 1]
-    return simplices, tuple(sorted(v for v, _ in rays))
+            grown = {}
+            for (v, z), p in cut:
+                for s, vol in volumes.items():
+                    if (s & z).bit_count() == dim - 1:
+                        w = gens[(s & ~z).bit_length() - 1]
+                        grown[(s & z) | bit] = _exact_div(vol * -p, dot(v, w))
+            volumes.update(grown)
+    return volumes, tuple(sorted(v for v, _ in rays))
 
 
-def _parallelepiped_points(simplex, dim, det_cap):
-    """Non-zero lattice points of {sum t_i w_i : 0 <= t_i < 1}."""
-    rows = [tuple(w[i] for w in simplex) for i in range(dim)]
-    volume = abs(det(rows))
+def _parallelepiped_points(simplex, volume, det_cap):
+    """Non-zero lattice points of {sum t_i w_i : 0 <= t_i < 1}, for a
+    simplex of the given volume |det|."""
     if volume > det_cap:
         raise SizeLimit("parallelepiped enumeration", volume, det_cap)
     if volume == 1:
         return []
+    dim = len(simplex)
+    rows = [tuple(w[i] for w in simplex) for i in range(dim)]
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     inverse_cols = [solve_square(rows, u) for u in units]
     zero = (Fraction(0),) * dim
@@ -86,27 +97,22 @@ def hilbert_basis(m, det_cap: int = DET_CAP):
     rc = rees_cone(m)
     dim = rc.cone.dim
     gens = _insertion_order(rc.cone.generators)
-    simplices, facets = _placing_triangulation(gens, dim)
+    # the first full simplex, the n unit vectors and one lifted generator
+    # (v, 1), is unimodular, so the relative volumes are the |det|s
+    volumes, facets = _placing_triangulation(gens, dim)
     candidates = set(gens)
-    for s in simplices:
+    for s, volume in volumes.items():
         members = [g for i, g in enumerate(gens) if s >> i & 1]
-        candidates.update(_parallelepiped_points(members, dim, det_cap))
+        candidates.update(_parallelepiped_points(members, volume, det_cap))
 
     def member(p):
         return all(x >= 0 for x in p) and all(dot(p, f) >= 0 for f in facets)
 
-    cands = sorted(candidates, key=lambda v: (sum(v), v))
+    # a non-zero c - b in the cone has a smaller degree than c, so each
+    # candidate needs testing only against the basis elements kept so far
     basis = []
-    for c in cands:
-        reducible = False
-        for a in cands:
-            if a == c:
-                continue
-            diff = tuple(x - y for x, y in zip(c, a))
-            if any(diff) and member(diff):
-                reducible = True
-                break
-        if not reducible:
+    for c in sorted(candidates, key=lambda v: (sum(v), v)):
+        if not any(member(tuple(x - y for x, y in zip(c, b))) for b in basis):
             basis.append(c)
     return tuple(sorted(basis))
 

@@ -28,22 +28,20 @@ def primitive(v):
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
-        raise InconsistencyError("non-exact division in fraction-free elimination")
+        raise InconsistencyError(f"non-exact division {a} / {b}")
     return q
 
 
-def _bareiss(a) -> int:
+def _bareiss(a) -> bool:
     """Fraction-free forward elimination of the n x n block of a, in place
-    (columns past n ride along); the row-swap sign, or 0 if singular."""
+    (columns past n ride along); False if singular."""
     n = len(a)
-    sign, prev = 1, 1
+    prev = 1
     for k in range(n):
         p = next((i for i in range(k, n) if a[i][k] != 0), None)
         if p is None:
-            return 0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
+            return False
+        a[k], a[p] = a[p], a[k]
         piv = a[k][k]
         cols = range(k + 1, len(a[k]))
         for i in range(k + 1, n):
@@ -53,7 +51,7 @@ def _bareiss(a) -> int:
                 ai[j] = _exact_div(piv * ai[j] - f * ak[j], prev)
             ai[k] = 0
         prev = piv
-    return sign
+    return True
 
 
 def solve_square(rows, rhs):
@@ -75,15 +73,6 @@ def solve_square(rows, rhs):
                 s -= a[i][j] * xs[j]
         xs[i] = s / a[i][i]
     return tuple(xs)
-
-
-def det(rows) -> int:
-    """Determinant of an integer square matrix (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    return _bareiss(a) * a[n - 1][n - 1]
 
 
 def smith_invariant_factors(rows):

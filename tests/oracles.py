@@ -12,7 +12,7 @@ Desk-scale inputs only.
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from mfmckit.clutters import ExponentMatrix, clutter_from_edges
 from mfmckit.cones import RationalCone, facet_normals
@@ -123,6 +123,13 @@ def brute_facets(generators, dim):
         elif all(d <= 0 for d in dots):
             out.add(tuple(-x for x in normal))
     return out
+
+
+def vertex_to_facet_normal(vertex):
+    """Primitive (alpha', -b) normal of the Rees-cone facet attached to a
+    rational vertex alpha'/b of Q(A): b is the lcm of the denominators."""
+    b = lcm(*(Fraction(x).denominator for x in vertex))
+    return tuple(int(x * b) for x in vertex) + (-b,)
 
 
 def placing_triangulation(gens, dim):

@@ -25,7 +25,6 @@ from mfmckit.cones import (
     qa_vertices_direct,
     rees_cone,
     support_hyperplanes,
-    vertex_to_facet_normal,
 )
 from mfmckit.decisions import (
     conjecture_scan,
@@ -37,7 +36,8 @@ from mfmckit.decisions import (
 from mfmckit.hilbert import hilbert_basis, is_normal, smith_invariants
 
 from conftest import ACCEPTANCE_LINES
-from oracles import decomposes, frac_rank, frac_solve, snf_by_minors
+from oracles import (
+    decomposes, frac_rank, frac_solve, snf_by_minors, vertex_to_facet_normal)
 
 # published output block for I = (x1x5, x2x4, x3x4x5, x1x2x3)
 REFERENCE_BASIS = {

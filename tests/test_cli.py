@@ -142,6 +142,21 @@ def test_mfmc_output(capsys, triangle_file):
     assert data["witnesses"]["ntf"] == {"i": 2, "monomial": [1, 1, 1]}
 
 
+def test_mfmc_ntf_past_the_power_scan(capsys, tmp_path):
+    # C7 first fails at I^4 != I^(4), past the default --imax 3; ntf equals
+    # mfmc and the certificate is tested in test_decisions
+    path = tmp_path / "c7.in"
+    path.write_text("".join(f"edge {k} {k % 7 + 1}\n" for k in range(1, 8)))
+    rc, out, _ = run(capsys, ["mfmc", str(path)])
+    assert rc == 0
+    assert "mfmc: false" in out
+    assert "ntf: false   witness: i=8 monomial 2 2 2 2 2 2 2" in out
+    rc, out, _ = run(capsys, ["mfmc", str(path), "--format", "json"])
+    data = json.loads(out)
+    assert (data["mfmc"], data["ntf"]) == (False, False)
+    assert data["witnesses"]["ntf"] == {"i": 8, "monomial": [2] * 7}
+
+
 # ---------------------------------------------------------------- scan
 
 

@@ -16,12 +16,11 @@ from mfmckit.cones import (
     qa_vertices_via_rees,
     rees_cone,
     support_hyperplanes,
-    vertex_to_facet_normal,
 )
 from mfmckit.errors import ClassificationError, SizeLimit, ZeroCone
 from mfmckit.linalg import dot
 
-from oracles import brute_facets, frac_rank, random_clutters
+from oracles import brute_facets, frac_rank, random_clutters, vertex_to_facet_normal
 
 TRIANGLE_FACETS = {
     (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),

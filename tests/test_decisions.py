@@ -5,10 +5,11 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from mfmckit import clutters, cones, hilbert, ideals
+from mfmckit import clutters, cones, decisions, hilbert, ideals
 from mfmckit.cli import main
 from mfmckit.clutters import (
-    MinorSpec, covering_number, matching_number, packing_property)
+    MinorSpec, clutter_from_edges, covering_number, matching_number,
+    packing_property)
 from mfmckit.cones import qa_vertices_direct
 from mfmckit.decisions import (
     TDI_BOX_CAP,
@@ -22,7 +23,7 @@ from mfmckit.decisions import (
     ntf_check,
     tdi_bounded_check,
 )
-from mfmckit.errors import SizeLimit
+from mfmckit.errors import InconsistencyError, SizeLimit
 from mfmckit.hilbert import hilbert_basis, semigroup_member
 from mfmckit.linalg import dot
 from mfmckit.reporting import analyze, parse_input, powers_table
@@ -31,6 +32,7 @@ from oracles import (
     brute_alpha0,
     brute_beta1,
     brute_minimal_covers,
+    monoid_member,
     tdi_integral_max,
     tdi_rational_max,
 )
@@ -112,6 +114,67 @@ def test_ntf_triangle_fails_at_two(triangle):
 def test_ntf_holds(reference_clutter, single_edge, two_star):
     for c in (reference_clutter, single_edge, two_star):
         assert ntf_check(c) == NtfResult(True)
+
+
+def assert_ntf_witness(c, witness):
+    """x^w is in I^(i) (weight >= i on every minimal cover) but not in I^i."""
+    i, w = witness
+    assert all(sum(w[v] for v in cover) >= i
+               for cover in brute_minimal_covers(c.n, c.edges))
+    assert not monoid_member(w, i, c.matrix.columns)
+
+
+def cycle(n):
+    return clutter_from_edges(n, [(k, (k + 1) % n) for k in range(n)])
+
+
+@pytest.mark.parametrize("n, i_max, witness", [
+    (7, 3, (8, (2,) * 7)),
+    (9, 2, (10, (2,) * 9)),
+])
+def test_ntf_certificate_past_the_scan(n, i_max, witness):
+    # no power up to i_max fails, yet the theorem gives ntf = mfmc = false:
+    # the fractional vertex (1/2, ..., 1/2) has every edge tight
+    c = cycle(n)
+    assert ntf_check(c, i_max) == NtfResult(True)
+    v = decide_mfmc(c, i_max)
+    assert not v.mfmc and not v.ntf
+    assert v.witnesses["ntf"] == witness
+    assert_ntf_witness(c, witness)
+
+
+def test_ntf_certificate_from_the_normality_witness(q6):
+    # I^(1) = I, so power one finds nothing; Q6 fails normality at degree 2
+    v = decide_mfmc(q6, i_max=1)
+    assert v.integral and not v.normal and not v.ntf
+    assert v.witnesses["ntf"] == (2, (1,) * 6) == (
+        v.witnesses["normal"][-1], v.witnesses["normal"][:-1])
+    assert_ntf_witness(q6, v.witnesses["ntf"])
+
+
+def test_ntf_equals_mfmc_with_checked_witnesses(random100):
+    # at i_max = 1 every failing verdict carries a certificate
+    failing = 0
+    for c in random100:
+        v = decide_mfmc(c, i_max=1)
+        assert v.ntf == v.mfmc
+        if not v.ntf:
+            failing += 1
+            assert_ntf_witness(c, v.witnesses["ntf"])
+    assert failing == 32
+
+
+@pytest.mark.parametrize("name, scan, i_max, message", [
+    ("reference_clutter", NtfResult(False, 2, (1, 1, 1, 1, 1)), 3,
+     "MFMC holds, but power 2 fails"),
+    ("triangle", NtfResult(True), 4,
+     r"no power up to 4 fails, but certificate \(4, \(2, 2, 2\)\) does"),
+], ids=["scan-fails-on-mfmc", "scan-misses-certificate"])
+def test_ntf_scan_disagreeing_with_the_theorem(request, monkeypatch, name, scan,
+                                               i_max, message):
+    monkeypatch.setattr(decisions, "ntf_check", lambda a, i: scan)
+    with pytest.raises(InconsistencyError, match=message):
+        decide_mfmc(request.getfixturevalue(name), i_max)
 
 
 # ---------------------------------------------------------------- tdi
@@ -272,8 +335,7 @@ def test_verdict_invariants(random100):
         assert v.witnesses.get("koenig") == (None if tau == nu else (tau, nu))
         assert v.normal == all(semigroup_member(c.matrix, z)
                                for z in hilbert_basis(c.matrix))
-        if not v.ntf:
-            assert not v.mfmc
+        assert v.ntf == v.mfmc
         if not v.koenig:
             assert not v.packing
         if v.packing:

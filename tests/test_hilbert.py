@@ -13,8 +13,8 @@ from mfmckit.hilbert import (
     smith_invariants)
 
 from oracles import (
-    decomposes, monoid_member, placing_triangulation, random_exponent_matrices,
-    snf_by_minors)
+    decomposes, frac_det, monoid_member, placing_triangulation,
+    random_exponent_matrices, snf_by_minors)
 
 REFERENCE_BASIS = (
     (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0),
@@ -48,13 +48,17 @@ def _lifted_rows(m):
 def assert_triangulation_matches_oracle(m):
     cone = rees_cone(m).cone
     gens = _insertion_order(cone.generators)
-    simplices, facets = _placing_triangulation(gens, cone.dim)
-    members = [frozenset(g for i, g in enumerate(gens) if s >> i & 1)
-               for s in simplices]
+    volumes, facets = _placing_triangulation(gens, cone.dim)
+    members = {frozenset(g for i, g in enumerate(gens) if s >> i & 1): volume
+               for s, volume in volumes.items()}
     expected = placing_triangulation(gens, cone.dim)
     assert len(members) == len(expected)
     assert set(members) == {frozenset(s) for s in expected}
+    # a Rees cone's first simplex is unimodular: relative volumes are |det|s
+    for simplex, volume in members.items():
+        assert volume == abs(frac_det(list(simplex)))
     assert facets == facet_normals(cone)
+    return volumes
 
 
 @pytest.mark.parametrize("name", TRIANGULATION_CORPUS)
@@ -66,6 +70,13 @@ def test_triangulation_matches_the_oracle(name):
 def test_triangulation_matches_the_oracle_on_random100(random100):
     for c in random100:
         assert_triangulation_matches_oracle(c.matrix)
+
+
+def test_triangulation_matches_the_oracle_on_general_matrices():
+    volumes = [volume for m in random_exponent_matrices(150, seed=20261018)
+               for volume in assert_triangulation_matches_oracle(m).values()]
+    # the non-unimodular branch is exercised
+    assert sum(volume > 1 for volume in volumes) == 49
 
 
 def test_placing_step_inside_a_proper_subspace():

@@ -23,14 +23,14 @@ from mfmckit.cones import (
     qa_vertices_direct,
     rees_cone,
     support_hyperplanes,
-    vertex_to_facet_normal,
 )
 from mfmckit.hilbert import hilbert_basis, semigroup_member, smith_invariants
 from mfmckit.ideals import closure_power, membership, ordinary_power, symbolic_power
 from mfmckit.linalg import dot
 from mfmckit.reporting import analyze, parse_input, report_from_json, report_to_json
 
-from oracles import brute_alpha0, brute_beta1, decomposes, tdi_integral_max
+from oracles import (
+    brute_alpha0, brute_beta1, decomposes, tdi_integral_max, vertex_to_facet_normal)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import mfmckit
@@ -15,3 +16,25 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert SOURCES and found == []
+
+
+def _names(tree):
+    """Every name the tree reads: identifiers, attributes, imported names."""
+    return Counter(
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute) else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_top_level_definition_is_used():
+    # a function or class that __init__.py does not export and no other
+    # code in the package reads is dead: the tests alone keep it alive
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    read = sum((_names(tree) for tree in trees), Counter())
+    unused = [f"{path.name}:{node.name}"
+              for path, tree in zip(SOURCES, trees)
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and read[node.name] == _names(node)[node.name]]
+    assert len(SOURCES) > 1 and unused == []
