@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import EmptyEdge, NotAntichain, NotZeroOne, OverlappingSpec, SizeLimit
+from .linalg import SEARCH_CAP, _minimal_solutions
 
 MINOR_CAP = 3 ** 12
-COVER_VERTEX_CAP = 20
 MATCHING_EDGE_CAP = 24
 ENUMERATION_CAP = 1_000_000
 
@@ -221,20 +221,11 @@ def all_minors(c: Clutter, cap: int = MINOR_CAP):
     return tuple(out)
 
 
-def minimal_vertex_covers(c: Clutter, max_vertices: int = COVER_VERTEX_CAP):
+def minimal_vertex_covers(c: Clutter, cap: int = SEARCH_CAP):
     """All minimal transversals, as sorted index tuples in canonical order."""
-    n = c.n
-    if n > max_vertices:
-        raise SizeLimit("cover enumeration", 2 ** n, 2 ** max_vertices)
-    masks = c.edge_masks()
-    covers = []
-    for m in range(1 << n):
-        if any(not (m & e) for e in masks):
-            continue
-        # minimal: every chosen vertex privately covers some edge
-        if all(any(e & m == 1 << v for e in masks) for v in range(n) if m >> v & 1):
-            covers.append(tuple(i for i in range(n) if m >> i & 1))
-    return tuple(sorted(covers))
+    points = _minimal_solutions([(e, 1) for e in c.matrix.columns], c.n, 1,
+                                "cover enumeration", cap)
+    return tuple(sorted(tuple(v for v, x in enumerate(a) if x) for a in points))
 
 
 def covering_number(c: Clutter) -> int:

@@ -126,15 +126,15 @@ def require_tdi_box(n: int, bound: int):
 def ntf_check(source, i_max: int = 3) -> NtfResult:
     """Compare ordinary and symbolic powers up to i_max.
 
-    On the first difference returns the least symbolic generator that
-    the ordinary power misses (the containment only goes one way)."""
+    I^i lies inside I^(i), so the powers differ exactly when a symbolic
+    generator is not ordinary; the least such one is the witness."""
     require_i_max(i_max)
     a = as_analysis(source)
     for i in range(1, i_max + 1):
         ordinary = a.power("ordinary", i)
-        symbolic = a.power("symbolic", i)
-        if not ideal_equal(ordinary, symbolic):
-            witness = next(g for g in symbolic.gens if not membership(g, ordinary))
+        witness = next((g for g in a.power("symbolic", i).gens
+                        if not membership(g, ordinary)), None)
+        if witness is not None:
             return NtfResult(False, i, witness)
     return NtfResult(True)
 

@@ -1,4 +1,5 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer and rational linear algebra on small dense matrices,
+and the minimal integer points of a system <alpha, a> >= r, alpha >= 0.
 
 Everything works over Python ints and fractions.Fraction; no floats.
 """
@@ -6,9 +7,12 @@ Everything works over Python ints and fractions.Fraction; no floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
-from .errors import InconsistencyError
+from .errors import InconsistencyError, SizeLimit
+
+SEARCH_CAP = 2_000_000
 
 
 def dot(u, v) -> int:
@@ -78,70 +82,37 @@ def solve_square(rows, rhs):
 def smith_invariant_factors(rows):
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Classic corner reduction: move a minimal non-zero entry to the corner,
-    clear its row and column by division with remainder, enforce that the
-    corner divides the rest of the submatrix, recurse.  Zero factors are
-    not reported; the rank is the number of factors returned.
-    """
+    Reduce the row and column of a least non-zero entry by it; a remainder
+    is a smaller pivot.  A lone pivot dividing every entry is the next
+    factor, and its row and column go; otherwise a row it does not divide
+    is added to its own.  Zero factors are not reported: the rank is the
+    number of factors returned."""
     a = [list(r) for r in rows]
-    m = len(a)
-    w = len(a[0]) if m else 0
     factors = []
-    t = 0
-    while t < m and t < w:
-        best = None
-        for i in range(t, m):
-            for j in range(t, w):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
-                    best = (abs(a[i][j]), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
+    while any(map(any, a)):
+        p = min(filter(None, chain.from_iterable(a)), key=abs)
+        pivot = next(row for row in a if p in row)
+        j = pivot.index(p)
         while True:
-            piv = a[t][t]
-            touched = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // piv
-                    if q:
-                        for j in range(t, w):
-                            a[i][j] -= q * a[t][j]
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        touched = True
-                        break
-            if touched:
-                continue
-            for j in range(t + 1, w):
-                if a[t][j] != 0:
-                    q = a[t][j] // piv
-                    if q:
-                        for i in range(t, m):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j] != 0:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        touched = True
-                        break
-            if touched:
-                continue
-            culprit = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, w):
-                    if a[i][j] % piv != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
+            for row in a:
+                if row is not pivot and row[j]:
+                    q = row[j] // p
+                    row[:] = [x - q * y for x, y in zip(row, pivot)]
+            for c, x in enumerate(pivot):
+                if c != j and x:
+                    q = x // p
+                    for row in a:
+                        row[c] -= q * row[j]
+            if any(row[j] for row in a if row is not pivot) or sum(map(bool, pivot)) > 1:
                 break
-            for j in range(t, w):
-                a[t][j] += a[culprit][j]
-        factors.append(abs(a[t][t]))
-        t += 1
+            bad = abs(p) > 1 and next((row for row in a if any(x % p for x in row)), None)
+            if not bad:
+                factors.append(abs(p))
+                a = [row for row in a if row is not pivot]
+                for row in a:
+                    del row[j]
+                break
+            pivot[:] = [x + y for x, y in zip(pivot, bad)]
     return tuple(factors)
 
 
@@ -156,3 +127,70 @@ def fraction_vector_to_normal(alpha):
         b = b * f.denominator // gcd(b, f.denominator)
     nums = tuple(int(Fraction(x) * b) for x in alpha)
     return nums, b
+
+
+def _minimal_solutions(rows, n: int, bound: int, stage: str, cap: int = SEARCH_CAP):
+    """Minimal points of {a in {0..bound}^n : <alpha, a> >= r for every
+    row (alpha, r)}, alpha >= 0, in lexicographic order.
+
+    Depth first over the coordinates.  a is minimal exactly when each
+    a_k > 0 is critical: some row with alpha_k > 0 has slack below
+    alpha_k.  Slacks only grow, so a branch, and the loop over larger a_k,
+    stops once an earlier positive coordinate cannot be critical or a row
+    is out of reach; the last coordinate takes its least feasible value.
+    cap counts the nodes, fewer than the box's points."""
+    # touch[k]: (row, alpha_k) for the rows k adds to; tight[k]: (row, alpha_k,
+    # the most k+1.. can add) for the rows that k+1.. alone may leave unmet
+    touch = [[(j, alpha[k]) for j, (alpha, _) in enumerate(rows) if alpha[k]]
+             for k in range(n)]
+    tight = [[(j, alpha[k], s) for j, (alpha, r) in enumerate(rows)
+              if (s := bound * sum(alpha[k + 1:])) < r] for k in range(n)]
+    slack = [-r for _, r in rows]
+    a, out, nodes = [0] * n, [], 0
+
+    def critical(placed):
+        """Whether each positive coordinate, given by its touch list, is still critical."""
+        for col in placed:
+            for j, w in col:
+                if slack[j] < w:
+                    break
+            else:
+                return False
+        return True
+
+    def visit(k, placed):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise SizeLimit(stage, nodes, cap)
+        v = 0  # the least a_k that keeps every row within reach
+        for j, w, s in tight[k]:
+            if -slack[j] - s > v * w:
+                if not w:
+                    return
+                v = -((slack[j] + s) // w)
+        if v > bound:
+            return
+        col = touch[k]
+        a[k] = v
+        for j, w in col:
+            slack[j] += w * v
+        if k == n - 1:  # v > 0 is critical, since v - 1 leaves a row unmet
+            if critical(placed):
+                out.append(tuple(a))
+        else:
+            inner = placed + [col] if v else placed
+            while critical(inner):
+                visit(k + 1, inner)
+                if v == bound:
+                    break
+                v = a[k] = v + 1
+                inner = placed + [col]
+                for j, w in col:
+                    slack[j] += w
+        for j, w in col:
+            slack[j] -= w * v
+        a[k] = 0
+
+    visit(0, [])
+    return tuple(out)

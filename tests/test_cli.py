@@ -157,6 +157,18 @@ def test_mfmc_ntf_past_the_power_scan(capsys, tmp_path):
     assert data["witnesses"]["ntf"] == {"i": 8, "monomial": [2] * 7}
 
 
+def test_mfmc_eleven_cycle_at_the_default_imax(capsys, tmp_path):
+    # the third symbolic power of C11 lies past the (i + 1)^n box of 4^11
+    # points; the minimal-point search reaches it
+    path = tmp_path / "c11.in"
+    path.write_text("".join(f"edge {k} {k % 11 + 1}\n" for k in range(1, 12)))
+    rc, out, _ = run(capsys, ["mfmc", str(path), "--format", "json"])
+    assert rc == 0
+    data = json.loads(out)
+    assert (data["mfmc"], data["ntf"], data["i_max_checked"]) == (False, False, 3)
+    assert data["witnesses"]["ntf"] == {"i": 12, "monomial": [2] * 11}
+
+
 # ---------------------------------------------------------------- scan
 
 

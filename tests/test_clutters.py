@@ -188,12 +188,16 @@ def test_minimal_vertex_covers_single(single_edge):
 
 
 def test_minimal_vertex_covers_cap(reference_clutter):
-    with pytest.raises(SizeLimit):
-        minimal_vertex_covers(reference_clutter, max_vertices=4)
+    # the search visits 21 nodes here
+    with pytest.raises(SizeLimit) as exc:
+        minimal_vertex_covers(reference_clutter, cap=10)
+    assert exc.value.stage == "cover enumeration"
+    assert exc.value.cap == 10
 
 
 def test_covers_match_brute_force(random100):
-    for c in random100[:40]:
+    family = [*random100, *enumerate_clutters(4, 4), *enumerate_clutters(5, 3)]
+    for c in family:
         assert minimal_vertex_covers(c) == tuple(
             brute_minimal_covers(c.n, c.edges))
 

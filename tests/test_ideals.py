@@ -1,10 +1,11 @@
 import functools
 import itertools
 import random
+from math import comb
 
 import pytest
 
-from mfmckit.clutters import ExponentMatrix, clutter_from_edges
+from mfmckit.clutters import ExponentMatrix, clutter_from_edges, minimal_vertex_covers
 from mfmckit.cones import facet_normals, rees_cone
 from mfmckit.errors import NotSquareFree, SizeLimit
 from mfmckit.ideals import (
@@ -122,9 +123,11 @@ def test_symbolic_needs_square_free(squares_matrix):
 
 
 def test_symbolic_cap(reference_clutter):
+    # the search visits 119 nodes here
     with pytest.raises(SizeLimit) as exc:
-        symbolic_power(reference_clutter, 3, cap=100)
+        symbolic_power(reference_clutter, 3, cap=50)
     assert exc.value.stage == "symbolic power enumeration"
+    assert exc.value.cap == 50
 
 
 def test_symbolic_entries_bounded(random100):
@@ -177,9 +180,11 @@ def test_closure_rejects_zero_power(squares_matrix):
 
 
 def test_closure_cap(reference_matrix):
+    # the search visits 56 nodes here
     with pytest.raises(SizeLimit) as exc:
-        closure_power(reference_matrix, 2, cap=100)
+        closure_power(reference_matrix, 2, cap=50)
     assert exc.value.stage == "closure power enumeration"
+    assert exc.value.cap == 50
 
 
 def test_closure_accepts_precomputed_facets(reference_matrix):
@@ -229,11 +234,11 @@ def test_closure_is_contained_in_its_own_later_sums(triangle):
             assert membership(tuple(a + b for a, b in zip(g, col)), clo3)
 
 
-# ---------------------------------------------------------------- box scan vs oracle
+# ---------------------------------------------------------------- search vs box oracle
 #
-# symbolic_power and closure_power keep a box point only when no
-# a - e_k is in the set; the reference minimalizes every in-set point
-# of the same box by pairwise dominance.  The closure's in-set points
+# symbolic_power and closure_power search for the minimal points; the
+# reference scans the whole box and minimalizes every in-set point by
+# pairwise dominance.  The closure's in-set points
 # come from the full facet list of the Rees cone (checked against
 # brute_facets in test_cones), not from the vertex-normal split.
 
@@ -285,6 +290,27 @@ def test_closure_scan_matches_pairwise_oracle(random100, squares_matrix,
             assert closure_power(m, i).gens == expected
             checked += 1
     assert checked == 306
+
+
+def test_search_nodes_stay_within_the_box(random100):
+    # each level has at most bound + 1 children and the last is solved
+    # directly, so a cap of the box size never fires
+    for c in random100:
+        assert minimal_vertex_covers(c, cap=2 ** c.n)
+        for i in (1, 2, 3):
+            assert symbolic_power(c, i, cap=(i + 1) ** c.n)
+            assert closure_power(c.matrix, i, cap=(i * c.matrix.max_entry() + 1) ** c.n)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_even_cycle_third_powers_past_the_box(n):
+    # Koenig's theorem for bipartite graphs: an even cycle is normally
+    # torsion free, so I^(3), the closure of I^3 and I^3 coincide; the
+    # (i + 1)^n box of C12 has 4^12 points, more than SEARCH_CAP
+    c = clutter_from_edges(n, [(k, (k + 1) % n) for k in range(n)])
+    ordinary = ordinary_power(c.matrix, 3)
+    assert symbolic_power(c, 3) == closure_power(c.matrix, 3) == ordinary
+    assert len(ordinary) == comb(n + 2, 3)
 
 
 def test_seven_cycle_third_powers():

@@ -38,3 +38,16 @@ def test_every_top_level_definition_is_used():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and read[node.name] == _names(node)[node.name]]
     assert len(SOURCES) > 1 and unused == []
+
+
+def test_every_cap_is_documented():
+    # every exponential loop has a named cap, and README.md names each one
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    caps = [f"{path.stem}.{target.id}"
+            for path in SOURCES
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.endswith("_CAP")]
+    missing = [cap for cap in caps if cap not in readme]
+    assert len(caps) >= 8 and missing == []
