@@ -3,9 +3,9 @@
 The MFMC verdict is the conjunction of two facts read off the Rees
 cone: the covering polyhedron has integral vertices (its vertex facets)
 and the Rees algebra is normal (Hilbert basis check).  By the same
-theorem the ideal is normally torsion free exactly then; the bounded
-power comparison cross-checks that, and a certificate stands in for
-its witness when the first failing power lies past the bound.
+theorem the ideal is normally torsion free, and every minor Koenig,
+exactly then; the power, matching and minor searches run only to find
+witnesses, and a certificate stands in for the ntf witness past i_max.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from functools import cached_property
 from .clutters import (
     Clutter,
     MINOR_CAP,
+    MinorSpec,
     _disjoint_edges,
     minimal_vertex_covers,
     packing_property,
@@ -195,29 +196,32 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     require_i_max(i_max)
     a = as_analysis(source)
     c = a.clutter
-    # {fact: (holds, witness)} in Verdict field order, evaluated in turn
+    # {fact: (holds, witness)} in Verdict field order; a fact set again keeps its place
     facts = {"normal": is_normal(c.matrix, a.basis),
              "integral": is_integral_qa(c.matrix, a.vertices)}
-    # nu <= tau, so a search stopping at tau finds nu exactly
-    tau = min(map(len, a.covers))
-    nu = _disjoint_edges(c.edge_masks(), tau)
-    facts["koenig"] = tau == nu, (tau, nu)
-    facts["packing"] = packing_property(c, minor_cap, a.covers)
-    smith = smith_invariants(c.matrix)
-    facts["torsion_free"] = smith.torsion_free, smith.factors
     mfmc = facts["normal"][0] and facts["integral"][0]
-    # I is normally torsion free exactly when C has MFMC; the bounded power
-    # scan is the cross-check, and its first failure is the witness
-    ntf = ntf_check(a, i_max)
-    witness = ntf.failed_i, ntf.witness
-    if mfmc and not ntf.ok:
-        raise InconsistencyError(f"MFMC holds, but power {witness[0]} fails")
-    if not mfmc and ntf.ok:
-        witness = _ntf_certificate(a, facts)
-        if witness[0] <= i_max:
-            raise InconsistencyError(
-                f"no power up to {i_max} fails, but certificate {witness} does")
-    facts["ntf"] = mfmc, witness
+    smith = smith_invariants(c.matrix)
+    # MFMC at weights 0, 1 and large is Koenig on every minor, and I is
+    # normally torsion free exactly when C has MFMC: the searches run
+    # only to find the witnesses of a clutter without MFMC
+    facts.update(koenig=(True, None), packing=(True, None),
+                 torsion_free=(smith.torsion_free, smith.factors), ntf=(True, None))
+    if not mfmc:
+        # nu <= tau, so a search stopping at tau finds nu exactly
+        tau = min(map(len, a.covers))
+        nu = _disjoint_edges(c.edge_masks(), tau)
+        facts["koenig"] = tau == nu, (tau, nu)
+        # the first minor spec is the clutter itself
+        facts["packing"] = ((False, MinorSpec((), ())) if tau != nu
+                            else packing_property(c, minor_cap, a.covers))
+        ntf = ntf_check(a, i_max)
+        witness = ntf.failed_i, ntf.witness
+        if ntf.ok:
+            witness = _ntf_certificate(a, facts)
+            if witness[0] <= i_max:
+                raise InconsistencyError(
+                    f"no power up to {i_max} fails, but certificate {witness} does")
+        facts["ntf"] = False, witness
     return Verdict(
         mfmc=mfmc,
         **{k: holds for k, (holds, _) in facts.items()},

@@ -184,10 +184,10 @@ def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
             minor_cap: int = MINOR_CAP) -> Report:
     """Run the whole pipeline on a clutter input document, through one Analysis.
 
-    The covering-polyhedron vertices come from the Rees cone facets and
-    are checked against basic-solution enumeration; a mismatch is a bug
-    and raises InconsistencyError.  integrality_equivalences adds the same
-    kind of cross-route guarantee for the power/facet readings.
+    Each power row must show I^i = I^(i) when the verdict has MFMC; the
+    covering-polyhedron vertices read off the facets must match basic
+    solutions; a mismatch is a bug and raises InconsistencyError, and
+    integrality_equivalences cross-checks the power/facet readings.
     tdi_bound = 0 skips the duality-gap scan, and an oversized demand box
     is refused before any Rees-cone object is built."""
     if tdi_bound < 0:
@@ -196,6 +196,10 @@ def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
     if tdi_bound:
         require_tdi_box(a.clutter.n, tdi_bound)
     verdict = decide_mfmc(a, i_max=i_max, minor_cap=minor_cap)
+    powers = powers_table(a, i_max)
+    for row in powers:
+        if verdict.mfmc and not row.ordinary_eq_symbolic:
+            raise InconsistencyError(f"MFMC holds, but power {row.i} fails")
     direct = qa_vertices_direct(a.clutter.matrix).vertices
     if direct != a.vertices:
         raise InconsistencyError(
@@ -204,7 +208,7 @@ def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
     integrality_equivalences(a, i_max)
     tdi = tdi_bounded_check(a, tdi_bound) if tdi_bound else None
     vertices = QAPolyhedron(a.clutter.matrix, a.vertices)
-    return Report(doc, verdict, a.basis, a.facets, vertices, powers_table(a, i_max), tdi)
+    return Report(doc, verdict, a.basis, a.facets, vertices, powers, tdi)
 
 
 # ---------------------------------------------------------------- text

@@ -169,6 +169,28 @@ def test_mfmc_eleven_cycle_at_the_default_imax(capsys, tmp_path):
     assert data["witnesses"]["ntf"] == {"i": 12, "monomial": [2] * 11}
 
 
+def _cycle(n):
+    return "".join(f"edge {k} {k % n + 1}\n" for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("text, argv, line", [
+    (_cycle(12), [], "mfmc: true"),
+    (_cycle(14), ["--imax", "1"], "mfmc: true"),
+    ("".join(f"edge a{i} b{j}\n" for i in range(5) for j in range(5)),
+     ["--imax", "1"], "mfmc: true"),
+    (_cycle(16), [], "mfmc: true"),
+    (_cycle(15), ["--imax", "1"], "packing: false   witness: zeros=[] ones=[]"),
+], ids=["C12", "C14-imax1", "K55-imax1", "C16", "C15-imax1"])
+def test_mfmc_verdicts_past_the_search_caps(capsys, tmp_path, text, argv, line):
+    # MFMC answers Koenig, packing and ntf with no search, and a clutter
+    # that fails Koenig fails packing at the first minor spec, itself
+    path = tmp_path / "c.in"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["mfmc", str(path), *argv])
+    assert (rc, err) == (0, "")
+    assert line in out.splitlines()
+
+
 # ---------------------------------------------------------------- scan
 
 
@@ -304,11 +326,15 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert err.startswith("input error: ")
 
 
-def test_size_limit_exit_code(capsys, reference_file):
-    rc, out, err = run(capsys, ["mfmc", reference_file, "--minor-cap", "1"])
+def test_size_limit_exit_code(capsys, tmp_path):
+    # the triangle plus a pendant edge is Koenig but has no MFMC, so the
+    # packing witness needs the minor walk
+    path = tmp_path / "pendant.in"
+    path.write_text(TRIANGLE_NATIVE + "edge c d\n")
+    rc, out, err = run(capsys, ["mfmc", str(path), "--minor-cap", "1"])
     assert rc == 3
     assert out == ""
-    assert err.startswith("size limit: ")
+    assert err == "size limit: minor enumeration: needs 81 states, cap is 1\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -8,8 +8,8 @@ import pytest
 from mfmckit import clutters, cones, decisions, hilbert, ideals
 from mfmckit.cli import main
 from mfmckit.clutters import (
-    MinorSpec, clutter_from_edges, covering_number, matching_number,
-    packing_property)
+    MinorSpec, clutter_from_edges, covering_number, enumerate_clutters,
+    matching_number, packing_property)
 from mfmckit.cones import qa_vertices_direct
 from mfmckit.decisions import (
     TDI_BOX_CAP,
@@ -165,16 +165,39 @@ def test_ntf_equals_mfmc_with_checked_witnesses(random100):
 
 
 @pytest.mark.parametrize("name, scan, i_max, message", [
-    ("reference_clutter", NtfResult(False, 2, (1, 1, 1, 1, 1)), 3,
-     "MFMC holds, but power 2 fails"),
     ("triangle", NtfResult(True), 4,
      r"no power up to 4 fails, but certificate \(4, \(2, 2, 2\)\) does"),
-], ids=["scan-fails-on-mfmc", "scan-misses-certificate"])
+], ids=["scan-misses-certificate"])
 def test_ntf_scan_disagreeing_with_the_theorem(request, monkeypatch, name, scan,
                                                i_max, message):
     monkeypatch.setattr(decisions, "ntf_check", lambda a, i: scan)
     with pytest.raises(InconsistencyError, match=message):
         decide_mfmc(request.getfixturevalue(name), i_max)
+
+
+def test_analyze_power_row_disagreeing_with_mfmc(monkeypatch):
+    # decide_mfmc reads ntf off MFMC; analyze's power table is the cross-check
+    doc = parse_input("4\n5\n1 0 0 0 1\n0 1 0 1 0\n0 0 1 1 1\n1 1 1 0 0\n3\n")
+    real = ideals.symbolic_power
+    monkeypatch.setattr(decisions, "symbolic_power",
+                        lambda c, i, covers=None: real(c, 1 if i == 2 else i, covers))
+    assert decide_mfmc(doc.clutter()).mfmc
+    with pytest.raises(InconsistencyError, match="MFMC holds, but power 2 fails"):
+        analyze(doc)
+
+
+@pytest.mark.parametrize("bounds", [None, (4, 4), (5, 3)],
+                         ids=["random100", "scan4x4", "scan5x3"])
+def test_mfmc_clutters_pass_the_searches(bounds, random100):
+    # MFMC at weights 0, 1 and large is Koenig on every minor, and I^i =
+    # I^(i) for all i; the verdict reads both off MFMC, the searches agree
+    family = random100 if bounds is None else list(enumerate_clutters(*bounds))
+    mfmc = [c for c in family if decide_mfmc(c, i_max=1).mfmc]
+    assert 0 < len(mfmc) < len(family)
+    for c in mfmc:
+        assert packing_property(c) == (True, None)
+        assert covering_number(c) == matching_number(c)
+        assert ntf_check(c, 2).ok
 
 
 # ---------------------------------------------------------------- tdi
@@ -367,7 +390,8 @@ COUNTED = {"ordinary_power": ideals, "symbolic_power": ideals,
            "closure_power": ideals, "qa_vertices_direct": cones,
            "support_hyperplanes": cones, "hilbert_basis": hilbert,
            "minimal_vertex_covers": clutters, "minor": clutters,
-           "matching_number": clutters, "semigroup_member": hilbert}
+           "matching_number": clutters, "semigroup_member": hilbert,
+           "packing_property": clutters, "_disjoint_edges": clutters}
 
 
 def count_calls(monkeypatch) -> Counter:
@@ -388,28 +412,45 @@ def count_calls(monkeypatch) -> Counter:
     return calls
 
 
-@pytest.mark.parametrize("text", [
-    "edge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 1 5\n",
-    "4\n5\n1 0 0 0 1\n0 1 0 1 0\n0 0 1 1 1\n1 1 1 0 0\n3\n",
+@pytest.mark.parametrize("text, search", [
+    ("edge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 1 5\n", {"_disjoint_edges": 1}),
+    ("4\n5\n1 0 0 0 1\n0 1 0 1 0\n0 0 1 1 1\n1 1 1 0 0\n3\n", {}),
 ], ids=["C5", "reference"])
-def test_analyze_computes_each_object_once(monkeypatch, text):
+def test_analyze_computes_each_object_once(monkeypatch, text, search):
     doc = parse_input(text)
     calls = count_calls(monkeypatch)
     analyze(doc, i_max=3, tdi_bound=2)
     # basic-solution vertices run once, as the cross-check of the facet
-    # route; the packing check reads the same covers and builds no minor;
-    # neither the membership search nor the full matching search runs
+    # route; neither the membership search nor the full matching search
+    # runs; C5 fails Koenig, so its packing witness needs no minor walk,
+    # and the reference example has MFMC, so it runs no search at all
     assert calls == {"ordinary_power": 3, "symbolic_power": 3, "closure_power": 3,
                      "qa_vertices_direct": 1, "support_hyperplanes": 1,
-                     "hilbert_basis": 1, "minimal_vertex_covers": 1}
+                     "hilbert_basis": 1, "minimal_vertex_covers": 1, **search}
+
+
+def test_mfmc_verdicts_run_no_search(monkeypatch, reference_clutter, single_edge,
+                                     random100):
+    family = [reference_clutter, single_edge,
+              *(c for c in random100[:10] if gr_reduced(c))]
+    assert len(family) > 2
+    calls = count_calls(monkeypatch)
+    for c in family:
+        assert decide_mfmc(c).mfmc
+    searches = ("packing_property", "_disjoint_edges", "minimal_vertex_covers",
+                "ordinary_power", "symbolic_power")
+    assert [calls[name] for name in searches] == [0] * len(searches)
 
 
 def test_decisions_skip_basic_solution_vertices(monkeypatch, random100, tmp_path,
                                                 capsys):
     calls = count_calls(monkeypatch)
-    for k, c in enumerate(random100[:10], start=1):
-        decide_mfmc(c, i_max=2)
-        assert calls["minimal_vertex_covers"] == k
+    failing = 0
+    for c in random100[:10]:
+        # the covers serve only the witnesses of a clutter without MFMC
+        failing += not decide_mfmc(c, i_max=2).mfmc
+        assert calls["minimal_vertex_covers"] == failing
+    assert 0 < failing < 10
     conjecture_scan(random100[:10])
     path = tmp_path / "c5.in"
     path.write_text("edge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 1 5\n")
