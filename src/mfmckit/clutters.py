@@ -15,7 +15,7 @@ from .errors import EmptyEdge, NotAntichain, NotZeroOne, OverlappingSpec, SizeLi
 from .linalg import SEARCH_CAP, _minimal_solutions
 
 MINOR_CAP = 3 ** 12
-MATCHING_EDGE_CAP = 24
+MATCHING_CAP = 2_000_000
 ENUMERATION_CAP = 1_000_000
 
 
@@ -233,14 +233,16 @@ def covering_number(c: Clutter) -> int:
     return min(len(t) for t in minimal_vertex_covers(c))
 
 
-def _disjoint_edges(masks, target: int, max_edges: int = MATCHING_EDGE_CAP) -> int:
-    """Most pairwise-disjoint masks, by exhaustion; stops once target are found."""
-    if len(masks) > max_edges:
-        raise SizeLimit("matching search", 2 ** len(masks), 2 ** max_edges)
-    best = 0
+def _disjoint_edges(masks, target: int, cap: int = MATCHING_CAP) -> int:
+    """Most pairwise-disjoint masks, by exhaustion; stops once target are
+    found.  cap counts the search nodes."""
+    best = nodes = 0
 
     def rec(i, used, count):
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > cap:
+            raise SizeLimit("matching search", nodes, cap)
         if count > best:
             best = count
         if best >= target or i == len(masks) or count + len(masks) - i <= best:
@@ -253,9 +255,9 @@ def _disjoint_edges(masks, target: int, max_edges: int = MATCHING_EDGE_CAP) -> i
     return best
 
 
-def matching_number(c: Clutter, max_edges: int = MATCHING_EDGE_CAP) -> int:
+def matching_number(c: Clutter, cap: int = MATCHING_CAP) -> int:
     """Largest number of pairwise vertex-disjoint edges, by exhaustion."""
-    return _disjoint_edges(c.edge_masks(), c.q, max_edges)
+    return _disjoint_edges(c.edge_masks(), c.q, cap)
 
 
 def koenig(c: Clutter) -> bool:
@@ -278,7 +280,6 @@ def packing_property(c: Clutter, cap: int = MINOR_CAP, covers=None):
         covers = minimal_vertex_covers(c)
     blocker = [sum(1 << v for v in b) for b in covers]
     edges = c.edge_masks()
-    # the first spec keeps every edge, so the matching cap fires there
     for zeros, ones in _minor_specs(c.n):
         kept = [e & ~ones for e in edges if not e & zeros]
         if not kept or not all(kept):

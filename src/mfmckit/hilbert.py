@@ -1,8 +1,9 @@
 """Hilbert bases of Rees cones, semigroup membership, normality, torsion.
 
 The basis is computed by a placing triangulation of the generator list,
-lattice-point enumeration inside each fundamental parallelepiped, and an
-irreducibility reduction against the facet description.  The
+integer lattice-point enumeration inside the fundamental parallelepiped
+of each simplex of volume > 1, and an irreducibility reduction by
+heights over the coordinates and the facets.  The
 triangulation, each simplex's volume and the facets come from one double
 description pass: each insertion step names the facets the new
 generator sees, the generators on each and the generator's pairing
@@ -13,11 +14,11 @@ generator set; semigroup membership stays as the independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import ge
 
 from .cones import _dd_steps, _insertion_order, rees_cone
 from .errors import InconsistencyError, SizeLimit
-from .linalg import _exact_div, dot, smith_invariant_factors, solve_square
+from .linalg import _bareiss, _exact_div, dot, smith_invariant_factors
 
 DET_CAP = 10 ** 6
 
@@ -56,38 +57,55 @@ def _placing_triangulation(gens, dim):
 
 def _parallelepiped_points(simplex, volume, det_cap):
     """Non-zero lattice points of {sum t_i w_i : 0 <= t_i < 1}, for a
-    simplex of the given volume |det|."""
+    simplex of the given volume |det|.
+
+    One fraction-free elimination of [W | I] and an integer back
+    substitution give d W^-1, d = |det W|.  The points are W u / d for
+    the classes u / d of Z^dim / W Z^dim, closed over integer tuples mod
+    d from the columns of d W^-1."""
     if volume > det_cap:
         raise SizeLimit("parallelepiped enumeration", volume, det_cap)
-    if volume == 1:
-        return []
     dim = len(simplex)
-    rows = [tuple(w[i] for w in simplex) for i in range(dim)]
-    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    inverse_cols = [solve_square(rows, u) for u in units]
-    zero = (Fraction(0),) * dim
+    a = [[w[i] for w in simplex] + [int(i == j) for j in range(dim)]
+         for i in range(dim)]
+    if not _bareiss(a):
+        raise InconsistencyError("singular simplex in the triangulation")
+    det = a[-1][dim - 1]
+    d = abs(det)
+    # rows of det W^-1, from the last up: a[i][i] x_i = det b_i - ...
+    inv = [None] * dim
+    for i in range(dim - 1, -1, -1):
+        row = a[i]
+        acc = [det * x for x in row[dim:]]
+        for j in range(i + 1, dim):
+            if row[j]:
+                acc = [x - row[j] * y for x, y in zip(acc, inv[j])]
+        inv[i] = [_exact_div(x, row[i]) for x in acc]
+    # the columns of det W^-1 and of d W^-1 = +-det W^-1 generate one group
+    cols = [tuple(x % d for x in col) for col in zip(*inv)]
+    zero = (0,) * dim
     group = {zero}
     frontier = [zero]
     while frontier:
         t = frontier.pop()
-        for col in inverse_cols:
-            t2 = tuple((a + b) % 1 for a, b in zip(t, col))
+        for col in cols:
+            t2 = tuple((x + y) % d for x, y in zip(t, col))
             if t2 not in group:
                 group.add(t2)
                 frontier.append(t2)
     if len(group) != volume:
         raise InconsistencyError(
             f"parallelepiped group has order {len(group)}, expected {volume}")
+    group.discard(zero)
     points = []
-    for t in group:
-        if t == zero:
-            continue
+    for u in group:
         p = []
         for i in range(dim):
-            x = sum(tj * w[i] for tj, w in zip(t, simplex))
-            if x.denominator != 1:
-                raise InconsistencyError(f"parallelepiped point coordinate {x}")
-            p.append(int(x))
+            num = sum(uj * w[i] for uj, w in zip(u, simplex))
+            x, r = divmod(num, d)
+            if r:
+                raise InconsistencyError(f"parallelepiped point coordinate {num}/{d}")
+            p.append(x)
         points.append(tuple(p))
     return points
 
@@ -98,22 +116,25 @@ def hilbert_basis(m, det_cap: int = DET_CAP):
     dim = rc.cone.dim
     gens = _insertion_order(rc.cone.generators)
     # the first full simplex, the n unit vectors and one lifted generator
-    # (v, 1), is unimodular, so the relative volumes are the |det|s
+    # (v, 1), is unimodular, so the relative volumes are the |det|s; a
+    # unimodular simplex has no parallelepiped points
     volumes, facets = _placing_triangulation(gens, dim)
     candidates = set(gens)
     for s, volume in volumes.items():
-        members = [g for i, g in enumerate(gens) if s >> i & 1]
-        candidates.update(_parallelepiped_points(members, volume, det_cap))
+        if volume > 1:
+            members = [g for i, g in enumerate(gens) if s >> i & 1]
+            candidates.update(_parallelepiped_points(members, volume, det_cap))
 
-    def member(p):
-        return all(x >= 0 for x in p) and all(dot(p, f) >= 0 for f in facets)
-
-    # a non-zero c - b in the cone has a smaller degree than c, so each
-    # candidate needs testing only against the basis elements kept so far
-    basis = []
+    # c - b lies in the cone exactly when c's heights over the coordinates
+    # and the facets dominate b's; a non-zero c - b in the cone has a
+    # smaller degree than c, so each candidate needs testing only against
+    # the basis elements kept so far
+    basis, heights = [], []
     for c in sorted(candidates, key=lambda v: (sum(v), v)):
-        if not any(member(tuple(x - y for x, y in zip(c, b))) for b in basis):
+        hc = c + tuple(dot(c, f) for f in facets)
+        if not any(all(map(ge, hc, hb)) for hb in heights):
             basis.append(c)
+            heights.append(hc)
     return tuple(sorted(basis))
 
 

@@ -40,6 +40,13 @@ class MonomialIdealGens:
     def __post_init__(self):
         object.__setattr__(self, "gens", minimalize(self.gens))
 
+    @classmethod
+    def _trusted(cls, gens):
+        """Wrap generators already minimal and sorted, without re-minimalizing."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
+
     def __len__(self):
         return len(self.gens)
 
@@ -83,7 +90,7 @@ def symbolic_power(source, i: int, covers=None, cap: int = SEARCH_CAP) -> Monomi
     c = _as_clutter(source)
     covers = minimal_vertex_covers(c) if covers is None else covers
     rows = [(tuple(int(v in cover) for v in range(c.n)), i) for cover in covers]
-    return MonomialIdealGens(_minimal_solutions(
+    return MonomialIdealGens._trusted(_minimal_solutions(
         rows, c.n, i, "symbolic power enumeration", cap))
 
 
@@ -97,5 +104,5 @@ def closure_power(m, i: int, facets=None, cap: int = SEARCH_CAP) -> MonomialIdea
     if facets is None:
         facets = support_hyperplanes(m)
     rows = [(f[:-1], -f[-1] * i) for f in facets.vertex_normals]
-    return MonomialIdealGens(_minimal_solutions(
+    return MonomialIdealGens._trusted(_minimal_solutions(
         rows, m.n, i * m.max_entry(), "closure power enumeration", cap))

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from operator import mul
 
 from .errors import InconsistencyError, SizeLimit
 
@@ -16,7 +17,7 @@ SEARCH_CAP = 2_000_000
 
 
 def dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def primitive(v):

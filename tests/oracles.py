@@ -157,6 +157,25 @@ def placing_triangulation(gens, dim):
     return simplices
 
 
+def parallelepiped_points(simplex):
+    """Non-zero lattice points p = sum t_j w_j, 0 <= t_j < 1, of the
+    half-open parallelepiped of a full-rank simplex: every integer point
+    of its bounding box whose rational coordinates t = W^-1 p lie in
+    [0, 1), tested as 0 <= L t < L over the lcm L of W^-1's denominators."""
+    dim = len(simplex)
+    rows = [[w[i] for w in simplex] for i in range(dim)]
+    inverse = list(zip(*(frac_solve(rows, [int(i == k) for i in range(dim)])
+                         for k in range(dim))))
+    den = lcm(*(x.denominator for r in inverse for x in r))
+    scaled = [[int(x * den) for x in r] for r in inverse]
+    # x_i > the sum of the negative entries and < the sum of the positive ones
+    box = [range(sum(min(x, 0) for x in r) + any(x < 0 for x in r),
+                 sum(max(x, 0) for x in r) + (not any(x > 0 for x in r)))
+           for r in rows]
+    return {p for p in itertools.product(*box) if any(p) and all(
+        0 <= sum(a * x for a, x in zip(r, p)) < den for r in scaled)}
+
+
 # ---------------------------------------------------------------- covers
 
 

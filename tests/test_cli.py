@@ -180,10 +180,12 @@ def _cycle(n):
      ["--imax", "1"], "mfmc: true"),
     (_cycle(16), [], "mfmc: true"),
     (_cycle(15), ["--imax", "1"], "packing: false   witness: zeros=[] ones=[]"),
-], ids=["C12", "C14-imax1", "K55-imax1", "C16", "C15-imax1"])
+    (_cycle(25), ["--imax", "1"], "koenig: false   covering 13 != matching 12"),
+], ids=["C12", "C14-imax1", "K55-imax1", "C16", "C15-imax1", "C25-imax1"])
 def test_mfmc_verdicts_past_the_search_caps(capsys, tmp_path, text, argv, line):
     # MFMC answers Koenig, packing and ntf with no search, and a clutter
-    # that fails Koenig fails packing at the first minor spec, itself
+    # that fails Koenig fails packing at the first minor spec, itself; the
+    # matching search is bounded by its nodes, so C25's 25 edges are no bar
     path = tmp_path / "c.in"
     path.write_text(text)
     rc, out, err = run(capsys, ["mfmc", str(path), *argv])

@@ -275,23 +275,29 @@ def test_packing_matches_the_minor_oracle(bounds, random100):
 
 
 def test_packing_keeps_the_minor_route_caps():
-    # minor enumeration is checked first, then the matching search on
-    # the clutter itself (28 edges)
-    k8 = clutter_from_edges(8, list(itertools.combinations(range(8), 2)))
+    # minor enumeration is checked first, then the matching search counts
+    # its nodes: every 3-subset of 12 vertices (220 edges, tau = 10)
+    # exhausts it on the clutter itself
+    triples12 = clutter_from_edges(12, list(itertools.combinations(range(12), 3)))
     path13 = clutter_from_edges(13, [(i, i + 1) for i in range(12)])
     for c, message in [
-        (k8, "matching search: needs 268435456 states, cap is 16777216"),
+        (triples12, "matching search: needs 2000001 states, cap is 2000000"),
         (path13, "minor enumeration: needs 1594323 states, cap is 531441"),
     ]:
         with pytest.raises(SizeLimit) as exc:
             packing_property(c)
         assert str(exc.value) == message
+    # K8 (28 edges) is answered: tau = 7 > nu = 4 on the clutter itself
+    k8 = clutter_from_edges(8, list(itertools.combinations(range(8), 2)))
+    assert packing_property(k8) == (False, MinorSpec((), ()))
 
 
 def test_matching_cap():
+    # taking the four disjoint edges one by one visits five nodes
     c = clutter_from_edges(4, [(0,), (1,), (2,), (3,)])
     with pytest.raises(SizeLimit):
-        matching_number(c, max_edges=3)
+        matching_number(c, cap=3)
+    assert matching_number(c) == 4
 
 
 # ---------------------------------------------------------------- enumeration

@@ -7,14 +7,14 @@ from mfmckit import cones, hilbert
 from mfmckit.clutters import ExponentMatrix, clutter_from_edges
 from mfmckit.cones import (
     _insertion_order, attach_facets, cone_member, facet_normals, rees_cone)
-from mfmckit.errors import SizeLimit
+from mfmckit.errors import InconsistencyError, SizeLimit
 from mfmckit.hilbert import (
-    _placing_triangulation, hilbert_basis, is_normal, semigroup_member,
-    smith_invariants)
+    DET_CAP, _parallelepiped_points, _placing_triangulation, hilbert_basis,
+    is_normal, semigroup_member, smith_invariants)
 
 from oracles import (
-    decomposes, frac_det, monoid_member, placing_triangulation,
-    random_exponent_matrices, snf_by_minors)
+    decomposes, frac_det, monoid_member, parallelepiped_points,
+    placing_triangulation, random_exponent_matrices, snf_by_minors)
 
 REFERENCE_BASIS = (
     (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0),
@@ -101,6 +101,47 @@ def test_hilbert_basis_makes_one_dd_pass(monkeypatch, random100):
     for k, c in enumerate(random100[:10], start=1):
         hilbert_basis(c.matrix)
         assert calls == {"_dd_steps": k}
+
+
+# ---------------------------------------------------------------- parallelepipeds
+
+
+def _simplices(m):
+    """(members, volume) of each simplex of m's placing triangulation."""
+    cone = rees_cone(m).cone
+    gens = _insertion_order(cone.generators)
+    volumes, _ = _placing_triangulation(gens, cone.dim)
+    return [([g for i, g in enumerate(gens) if s >> i & 1], volume)
+            for s, volume in volumes.items()]
+
+
+PARALLELEPIPED_FAMILIES = {
+    "fano": lambda fx: [clutter_from_edges(7, FANO).matrix],
+    "general": lambda fx: random_exponent_matrices(150, seed=20261018),
+    "random100": lambda fx: [c.matrix for c in fx("random100")],
+}
+
+
+@pytest.mark.parametrize("family", PARALLELEPIPED_FAMILIES)
+def test_parallelepiped_points_match_the_oracle(request, family):
+    checked = 0
+    for m in PARALLELEPIPED_FAMILIES[family](request.getfixturevalue):
+        for members, volume in _simplices(m):
+            if volume > 1:
+                points = _parallelepiped_points(members, volume, DET_CAP)
+                assert len(points) == volume - 1
+                assert set(points) == parallelepiped_points(members)
+                checked += 1
+    # every simplex of random100 is unimodular
+    assert checked == {"fano": 14, "general": 49, "random100": 0}[family]
+
+
+def test_parallelepiped_rejects_a_wrong_volume(squares_matrix):
+    (members, volume), = [(s, v) for s, v in _simplices(squares_matrix) if v > 1]
+    assert volume == 2
+    for wrong in (1, 3, 4):
+        with pytest.raises(InconsistencyError, match="group has order 2"):
+            _parallelepiped_points(members, wrong, DET_CAP)
 
 
 # ---------------------------------------------------------------- basis

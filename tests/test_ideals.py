@@ -302,6 +302,16 @@ def test_search_nodes_stay_within_the_box(random100):
             assert closure_power(c.matrix, i, cap=(i * c.matrix.max_entry() + 1) ** c.n)
 
 
+def test_search_output_is_already_canonical(random100):
+    # symbolic_power and closure_power wrap the search's output without
+    # minimalizing it again: it must already be minimal and sorted
+    for c in random100:
+        for i in (1, 2, 3):
+            for ideal in (symbolic_power(c, i), closure_power(c.matrix, i)):
+                assert ideal.gens == minimalize(ideal.gens)
+                assert ideal == MonomialIdealGens(ideal.gens)
+
+
 @pytest.mark.parametrize("n", [10, 12])
 def test_even_cycle_third_powers_past_the_box(n):
     # Koenig's theorem for bipartite graphs: an even cycle is normally
