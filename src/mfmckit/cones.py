@@ -3,7 +3,8 @@
 The double description pass keeps an explicit lineality basis, so the
 dual of a lower-dimensional cone is representable (as +/- ray pairs).
 Rays carry bitmask zero-sets over the processed constraints; adjacency
-uses the standard combinatorial test.  The pass runs as a step
+uses the standard combinatorial test, after a count of the shared zeros
+against the rank.  The pass runs as a step
 generator, so the placing triangulation reads each insertion step off
 the same pass that yields the facets.
 """
@@ -13,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import ClassificationError, SizeLimit, ZeroCone
-from .linalg import dot, fraction_vector_to_normal, primitive, solve_square
+from .linalg import _scaled_solve, dot, primitive
 
 QA_ENUM_CAP = 1_000_000
 
@@ -92,12 +93,17 @@ def _dd_steps(constraints, dim):
             else:
                 zero.append(ray)
         survivors = [ray for ray, _ in pos]
+        rank = dim - len(lin)
         for ray in zero:
             ray[1] |= bit
             survivors.append(ray)
         for rp, pp in pos:
             for rn, pn in neg:
                 meet = rp[1] & rn[1]
+                # adjacent rays span a 2-face, where rank - 2 independent
+                # constraints are tight; rank is that of the constraints so far
+                if meet.bit_count() < rank - 2:
+                    continue
                 blocked = any(
                     r is not rp and r is not rn and (r[1] & meet) == meet
                     for r in rays
@@ -243,31 +249,43 @@ class QAPolyhedron:
 def qa_vertices_direct(m, cap: int = QA_ENUM_CAP) -> QAPolyhedron:
     """Vertices by basic-feasible-solution enumeration.
 
-    Every n-subset of the n + q constraint rows is solved exactly; the
-    feasible unique solutions are the vertices.  Independent of the
-    Rees-cone route by construction.
+    A basic solution makes n of the n + q constraint rows tight: the unit
+    rows off a support T and k = |T| edge rows S, so x = 0 off T and
+    A[S, T] x_T = 1.  Each of the C(n+q, n) choices is solved as that
+    k x k integer system, d x_T by a fraction-free elimination, and the
+    feasible unique solutions are the vertices.  A support missing some
+    column's support is skipped unsolved: that column pairs to 0 < 1
+    with every point zero off T, so no such point is feasible.
+    Independent of the Rees-cone route by construction.
     """
     n, q = m.n, m.q
     total = comb(n + q, n)
     if total > cap:
         raise SizeLimit("vertex enumeration", total, cap)
-    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rhs = [0] * n
-    for c in m.columns:
-        rows.append(tuple(c))
-        rhs.append(1)
     cols = m.columns
     found = set()
-    for subset in itertools.combinations(range(len(rows)), n):
-        x = solve_square([rows[i] for i in subset], [rhs[i] for i in subset])
-        if x is None:
-            continue
-        nums, den = fraction_vector_to_normal(x)
-        if any(v < 0 for v in nums):
-            continue
-        if all(dot(c, nums) >= den for c in cols):
-            found.add(x)
-    return QAPolyhedron(m, tuple(sorted(found)))
+    for k in range(min(n, q) + 1):
+        for t in itertools.combinations(range(n), k):
+            sub = [[c[i] for i in t] for c in cols]
+            if not all(map(any, sub)):
+                continue
+            for s in itertools.combinations(sub, k):
+                solved = _scaled_solve([r + [1] for r in s])
+                if solved is None:
+                    continue
+                d, x = solved
+                x = [row[0] for row in x]
+                if d < 0:
+                    d, x = -d, [-v for v in x]
+                if min(x, default=0) >= 0 and all(dot(c, x) >= d for c in sub):
+                    # the point as its primitive (d, d x), one key per vertex
+                    g = gcd(d, *x)
+                    point = [0] * n
+                    for i, v in zip(t, x):
+                        point[i] = v // g
+                    found.add((d // g, *point))
+    vertices = (tuple(Fraction(v, d) for v in point) for d, *point in found)
+    return QAPolyhedron(m, tuple(sorted(vertices)))
 
 
 def qa_vertices_via_rees(m) -> QAPolyhedron:

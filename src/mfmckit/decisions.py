@@ -128,10 +128,12 @@ def ntf_check(source, i_max: int = 3) -> NtfResult:
     """Compare ordinary and symbolic powers up to i_max.
 
     I^i lies inside I^(i), so the powers differ exactly when a symbolic
-    generator is not ordinary; the least such one is the witness."""
+    generator is not ordinary; the least such one is the witness.  The
+    comparison starts at i = 2: a square-free monomial ideal is the
+    intersection of the primes of its minimal covers, so I^1 = I^(1)."""
     require_i_max(i_max)
     a = as_analysis(source)
-    for i in range(1, i_max + 1):
+    for i in range(2, i_max + 1):
         ordinary = a.power("ordinary", i)
         witness = next((g for g in a.power("symbolic", i).gens
                         if not membership(g, ordinary)), None)

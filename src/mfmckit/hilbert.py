@@ -18,7 +18,7 @@ from operator import ge
 
 from .cones import _dd_steps, _insertion_order, rees_cone
 from .errors import InconsistencyError, SizeLimit
-from .linalg import _bareiss, _exact_div, dot, smith_invariant_factors
+from .linalg import _exact_div, _scaled_solve, dot, smith_invariant_factors
 
 DET_CAP = 10 ** 6
 
@@ -68,19 +68,11 @@ def _parallelepiped_points(simplex, volume, det_cap):
     dim = len(simplex)
     a = [[w[i] for w in simplex] + [int(i == j) for j in range(dim)]
          for i in range(dim)]
-    if not _bareiss(a):
+    solved = _scaled_solve(a)
+    if solved is None:
         raise InconsistencyError("singular simplex in the triangulation")
-    det = a[-1][dim - 1]
+    det, inv = solved
     d = abs(det)
-    # rows of det W^-1, from the last up: a[i][i] x_i = det b_i - ...
-    inv = [None] * dim
-    for i in range(dim - 1, -1, -1):
-        row = a[i]
-        acc = [det * x for x in row[dim:]]
-        for j in range(i + 1, dim):
-            if row[j]:
-                acc = [x - row[j] * y for x, y in zip(acc, inv[j])]
-        inv[i] = [_exact_div(x, row[i]) for x in acc]
     # the columns of det W^-1 and of d W^-1 = +-det W^-1 generate one group
     cols = [tuple(x % d for x in col) for col in zip(*inv)]
     zero = (0,) * dim

@@ -1,12 +1,11 @@
-"""Exact integer and rational linear algebra on small dense matrices,
+"""Exact integer linear algebra on small dense matrices,
 and the minimal integer points of a system <alpha, a> >= r, alpha >= 0.
 
-Everything works over Python ints and fractions.Fraction; no floats.
+Everything works over Python ints; no fractions, no floats.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import mul
@@ -59,25 +58,25 @@ def _bareiss(a) -> bool:
     return True
 
 
-def solve_square(rows, rhs):
-    """Solve an integer square system exactly.
-
-    Returns a tuple of Fractions, or None when the matrix is singular.
-    Forward elimination is fraction-free (Bareiss); only the back
-    substitution touches Fraction arithmetic.
-    """
-    n = len(rows)
-    a = [list(row) + [b] for row, b in zip(rows, rhs)]
+def _scaled_solve(a):
+    """Solve W X = B for an augmented integer matrix a = [W | B], W square,
+    in integers: (d, rows of d X) with d = +-det W, or None when W is
+    singular.  One fraction-free elimination, then an integer back
+    substitution, d x_i = (d b_i - ...) / a_ii, exact by Cramer's rule;
+    a is overwritten."""
+    n = len(a)
     if not _bareiss(a):
         return None
-    xs = [Fraction(0)] * n
+    d = a[-1][n - 1] if n else 1
+    x = [None] * n
     for i in range(n - 1, -1, -1):
-        s = Fraction(a[i][n])
+        row = a[i]
+        acc = [d * v for v in row[n:]]
         for j in range(i + 1, n):
-            if a[i][j]:
-                s -= a[i][j] * xs[j]
-        xs[i] = s / a[i][i]
-    return tuple(xs)
+            if row[j]:
+                acc = [v - row[j] * y for v, y in zip(acc, x[j])]
+        x[i] = [_exact_div(v, row[i]) for v in acc]
+    return d, x
 
 
 def smith_invariant_factors(rows):
@@ -115,19 +114,6 @@ def smith_invariant_factors(rows):
                 break
             pivot[:] = [x + y for x, y in zip(pivot, bad)]
     return tuple(factors)
-
-
-def fraction_vector_to_normal(alpha):
-    """Clear denominators of a rational point: alpha -> primitive (alpha', b).
-
-    b is the lcm of the denominators, alpha' = b * alpha, gcd(alpha', b) = 1.
-    """
-    b = 1
-    for x in alpha:
-        f = Fraction(x)
-        b = b * f.denominator // gcd(b, f.denominator)
-    nums = tuple(int(Fraction(x) * b) for x in alpha)
-    return nums, b
 
 
 def _minimal_solutions(rows, n: int, bound: int, stage: str, cap: int = SEARCH_CAP):

@@ -125,6 +125,21 @@ def brute_facets(generators, dim):
     return out
 
 
+def basic_solution_vertices(n, columns):
+    """Vertices of {x >= 0 : <c, x> >= 1 for every column c}: every
+    n-subset of the n unit rows (right-hand side 0) and the column rows
+    (right-hand side 1) is solved, and the feasible unique solutions kept."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)] + list(columns)
+    rhs = [0] * n + [1] * len(columns)
+    found = set()
+    for sub in itertools.combinations(range(len(rows)), n):
+        x = frac_solve([rows[i] for i in sub], [rhs[i] for i in sub])
+        if x is not None and min(x, default=0) >= 0 and all(
+                sum(a * b for a, b in zip(c, x)) >= 1 for c in columns):
+            found.add(x)
+    return tuple(sorted(found))
+
+
 def vertex_to_facet_normal(vertex):
     """Primitive (alpha', -b) normal of the Rees-cone facet attached to a
     rational vertex alpha'/b of Q(A): b is the lcm of the denominators."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +21,14 @@ from mfmckit.cones import (
 from mfmckit.errors import ClassificationError, SizeLimit, ZeroCone
 from mfmckit.linalg import dot
 
-from oracles import brute_facets, frac_rank, random_clutters, vertex_to_facet_normal
+from oracles import (
+    basic_solution_vertices,
+    brute_facets,
+    frac_rank,
+    random_clutters,
+    random_exponent_matrices,
+    vertex_to_facet_normal,
+)
 
 TRIANGLE_FACETS = {
     (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -88,6 +96,7 @@ def test_facets_match_subset_search(reference_matrix, triangle, two_star,
     matrices = [reference_matrix, triangle.matrix, two_star.matrix,
                 squares_matrix, mixed_pair_matrix]
     matrices += [c.matrix for c in random100[:15]]
+    matrices += random_exponent_matrices(150)
     for m in matrices:
         cone = rees_cone(m).cone
         assert set(facet_normals(cone)) == brute_facets(cone.generators, cone.dim)
@@ -221,6 +230,20 @@ def test_both_vertex_routes_agree(reference_matrix, triangle, two_star, random10
             mats.append(ExponentMatrix(tuple(cols)))
     for m in mats:
         assert qa_vertices_direct(m).vertices == qa_vertices_via_rees(m).vertices
+
+
+def test_reduced_systems_match_the_full_subset_oracle(random100):
+    # each support T is solved as the k x k system on its edge rows
+    mats = [c.matrix for c in random100] + random_exponent_matrices(150)
+    for m in mats:
+        assert qa_vertices_direct(m).vertices == basic_solution_vertices(m.n, m.columns)
+
+
+def test_no_edges_gives_the_origin():
+    # q = 0 reaches only k = 0: the empty system, solved by x = 0
+    m = SimpleNamespace(n=3, q=0, columns=())
+    assert qa_vertices_direct(m).vertices == ((Fraction(0),) * 3,)
+    assert basic_solution_vertices(3, ()) == ((Fraction(0),) * 3,)
 
 
 def test_vertex_routes_agree_on_larger_clutters():

@@ -111,6 +111,12 @@ def test_ntf_triangle_fails_at_two(triangle):
     assert ntf_check(triangle, i_max=1) == NtfResult(True)
 
 
+def test_first_powers_agree(random100):
+    # ntf_check starts at i = 2 because I^1 = I^(1) for every clutter
+    for c in random100:
+        assert ideals.ordinary_power(c.matrix, 1) == ideals.symbolic_power(c, 1)
+
+
 def test_ntf_holds(reference_clutter, single_edge, two_star):
     for c in (reference_clutter, single_edge, two_star):
         assert ntf_check(c) == NtfResult(True)

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfmckit.linalg import (
-    dot,
-    fraction_vector_to_normal,
-    primitive,
-    smith_invariant_factors,
-    solve_square,
-)
+from mfmckit.linalg import _scaled_solve, dot, primitive, smith_invariant_factors
 
 from oracles import frac_det, frac_solve, snf_by_minors
 
@@ -45,21 +39,33 @@ def test_primitive_reduces_gcd():
         primitive((0, 0))
 
 
-def test_solve_square_matches_rational_elimination():
+def solve(rows, rhs):
+    """The solution as Fractions (d x) / d from the integer helper, or None
+    when singular."""
+    solved = _scaled_solve([list(r) + [b] for r, b in zip(rows, rhs)])
+    if solved is None:
+        return None
+    d, x = solved
+    return tuple(Fraction(row[0], d) for row in x)
+
+
+def test_scaled_solve_matches_rational_elimination():
     for seed in range(60):
         n = seed % 4 + 1
         rows = square(n, seed)
         rhs = [random.Random(seed + 1000).randint(-5, 5) for _ in range(n)]
-        assert solve_square(rows, rhs) == frac_solve(rows, rhs)
+        assert solve(rows, rhs) == frac_solve(rows, rhs)
 
 
-def test_solve_square_singular():
-    assert solve_square([[1, 2], [2, 4]], [1, 1]) is None
+def test_scaled_solve_singular():
+    assert _scaled_solve([[1, 2, 1], [2, 4, 1]]) is None
 
 
-def test_solve_square_exact_fractions():
-    sol = solve_square([[2, 0], [0, 4]], [1, 1])
-    assert sol == (Fraction(1, 2), Fraction(1, 4))
+def test_scaled_solve_exact_multiples():
+    # d = +-det W, and d X is integral for several right-hand sides at once
+    d, x = _scaled_solve([[2, 0, 1, 0], [0, 4, 0, 1]])
+    assert d == 8 and x == [[4, 0], [0, 2]]
+    assert _scaled_solve([]) == (1, [])
 
 
 @pytest.mark.parametrize("rows", [
@@ -73,11 +79,14 @@ def test_solve_square_exact_fractions():
     [[0, 2, 1, 0], [0, 0, 3, 1], [1, 0, 0, 2], [0, 1, 0, 0]],  # several swaps
 ])
 def test_det_and_solve_share_one_elimination(rows):
-    # det is the oracle's: solve_square fails exactly on a singular matrix
+    # det is the oracle's: the helper fails exactly on a singular matrix,
+    # and otherwise its scale is the determinant up to sign
     rhs = [k + 1 for k in range(len(rows))]
-    x = solve_square(rows, rhs)
-    assert x == frac_solve(rows, rhs)
-    assert (frac_det(rows) == 0) == (x is None)
+    solved = _scaled_solve([list(r) + [b] for r, b in zip(rows, rhs)])
+    assert solve(rows, rhs) == frac_solve(rows, rhs)
+    assert (frac_det(rows) == 0) == (solved is None)
+    if solved is not None:
+        assert abs(solved[0]) == abs(frac_det(rows))
 
 
 def test_det_zero_exactly_when_solve_fails():
@@ -87,7 +96,7 @@ def test_det_zero_exactly_when_solve_fails():
         n = seed % 4 + 1
         rows = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
         rhs = [rng.randint(-2, 2) for _ in range(n)]
-        d, x = frac_det(rows), solve_square(rows, rhs)
+        d, x = frac_det(rows), solve(rows, rhs)
         assert x == frac_solve(rows, rhs)
         assert (d == 0) == (x is None)
         singular += d == 0
@@ -137,12 +146,3 @@ def test_smith_permutation_invariant(rows, rng):
     rng.shuffle(cols)
     permuted = [[r[c] for c in cols] for r in shuffled]
     assert tuple(sorted(smith_invariant_factors(permuted))) == base
-
-
-def test_fraction_vector_to_normal():
-    nums, b = fraction_vector_to_normal((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
-    assert (nums, b) == ((1, 1, 1), 2)
-    nums, b = fraction_vector_to_normal((Fraction(1), Fraction(0)))
-    assert (nums, b) == ((1, 0), 1)
-    nums, b = fraction_vector_to_normal((Fraction(2, 3), Fraction(1, 2)))
-    assert (nums, b) == ((4, 3), 6)
