@@ -32,10 +32,14 @@ from .reporting import (
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The input text; a path that cannot be read or decoded is an input error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise MfmcError(f"{path}: {getattr(e, 'strerror', None) or e}") from e
 
 
 def _emit(text: str):
@@ -140,8 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+PARSER = build_parser()  # built once at import; parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except SizeLimit as e:

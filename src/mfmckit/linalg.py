@@ -46,13 +46,16 @@ def _bareiss(a) -> bool:
         if p is None:
             return False
         a[k], a[p] = a[p], a[k]
-        piv = a[k][k]
-        cols = range(k + 1, len(a[k]))
+        ak = a[k]
+        piv = ak[k]
+        cols = range(k + 1, len(ak))
         for i in range(k + 1, n):
-            f = a[i][k]
-            ai, ak = a[i], a[k]
+            ai = a[i]
+            f = ai[k]
             for j in cols:
-                ai[j] = _exact_div(piv * ai[j] - f * ak[j], prev)
+                ai[j], r = divmod(piv * ai[j] - f * ak[j], prev)
+                if r:  # raises, naming the operands
+                    _exact_div(ai[j] * prev + r, prev)
             ai[k] = 0
         prev = piv
     return True

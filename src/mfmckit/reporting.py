@@ -113,6 +113,8 @@ def _parse_native(lines) -> InputDocument:
             continue
         text = text.rstrip(";").strip()
         toks = text.split()
+        if not toks:
+            raise ParseError(no, "';' without a directive")
         if toks[0] != "edge":
             raise ParseError(no, f"unknown directive {toks[0]!r}")
         if len(toks) == 1:

@@ -328,6 +328,19 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"edge a \xff\n"),
+     "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_input_is_an_input_error(capsys, tmp_path, make, reason):
+    path = tmp_path / "clutter.in"
+    make(path)
+    rc, out, err = run(capsys, ["mfmc", str(path)])
+    assert (rc, out, err) == (2, "", f"input error: {path}: {reason}\n")
+
+
 def test_size_limit_exit_code(capsys, tmp_path):
     # the triangle plus a pendant edge is Koenig but has no MFMC, so the
     # packing witness needs the minor walk
@@ -483,3 +496,22 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- one parser
+
+
+def test_defaults_do_not_carry_over_between_calls(capsys, triangle_file):
+    rc, out, _ = run(capsys, ["mfmc", triangle_file, "--format", "json", "--imax", "1"])
+    assert rc == 0 and json.loads(out)["i_max_checked"] == 1
+    rc, out, _ = run(capsys, ["mfmc", triangle_file, "--format", "json"])
+    assert rc == 0 and json.loads(out)["i_max_checked"] == 3
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys, triangle_file):
+    first = run(capsys, ["mfmc", triangle_file])
+    with pytest.raises(SystemExit) as exc:
+        main(["mfmc", triangle_file, "--imax", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, ["mfmc", triangle_file]) == first

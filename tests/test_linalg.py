@@ -31,6 +31,15 @@ def test_inexact_division_is_an_inconsistency():
         _exact_div(7, 2)
 
 
+def test_inexact_elimination_names_the_entry():
+    # integer input always divides exactly; a fractional entry shows that
+    # the one check per row still finds and names the inexact quotient
+    from mfmckit.errors import InconsistencyError
+    from mfmckit.linalg import _bareiss
+    with pytest.raises(InconsistencyError, match=r"non-exact division 3/2 / 1$"):
+        _bareiss([[1, 0, 0], [0, 1, Fraction(3, 2)], [0, 0, 1]])
+
+
 def test_primitive_reduces_gcd():
     assert primitive((2, 4, -6)) == (1, 2, -3)
     assert primitive((0, 0, 5)) == (0, 0, 1)

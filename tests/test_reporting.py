@@ -160,6 +160,9 @@ def test_parse_rejects_junk():
     assert exc.value.line == 2
     with pytest.raises(ParseError):
         parse_input("edge\n")
+    with pytest.raises(ParseError) as exc:
+        parse_input("edge x1 x2\n;\nedge x2 x3\n")  # a bare terminator line
+    assert exc.value.line == 2
 
 
 # ---------------------------------------------------------------- rendering

@@ -51,3 +51,16 @@ def test_every_cap_is_documented():
             if isinstance(target, ast.Name) and target.id.endswith("_CAP")]
     missing = [cap for cap in caps if cap not in readme]
     assert len(caps) >= 8 and missing == []
+
+
+def test_the_cli_parser_is_built_only_at_import():
+    # main() reuses one parser built at import; a build_parser() call in a
+    # function body would build it again on every call
+    tree = ast.parse((Path(mfmckit.__file__).parent / "cli.py").read_text())
+
+    def builds(node):
+        return sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "build_parser"
+                   for n in ast.walk(node))
+    in_functions = sum(builds(node) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    assert builds(tree) == 1 and in_functions == 0
