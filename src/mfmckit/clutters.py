@@ -251,7 +251,10 @@ def _disjoint_edges(masks, target: int, cap: int = MATCHING_CAP) -> int:
             rec(i + 1, used | masks[i], count + 1)
         rec(i + 1, used, count)
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    finally:
+        del rec  # rec refers to itself: break the cycle now, not at collection
     return best
 
 

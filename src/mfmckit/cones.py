@@ -208,16 +208,14 @@ class FacetClassification:
         return tuple(sorted(out))
 
 
-def support_hyperplanes(m) -> FacetClassification:
-    """Facet normals of the Rees cone of m, classified.
+def classify_facets(rc: ReesCone, normals) -> FacetClassification:
+    """The facet normals of the Rees cone rc, classified.
 
     Coordinate facets are unit vectors whose index set must match the
     axes where some generator vanishes (plus the lifted axis); every
     other facet must have negative last coordinate and non-negative
     leading block.
     """
-    rc = rees_cone(m)
-    normals = facet_normals(rc.cone)
     dim = rc.cone.dim
     units, vertex = set(), []
     for f in normals:
@@ -236,6 +234,12 @@ def support_hyperplanes(m) -> FacetClassification:
             f"{sorted(rc.coordinate_facet_indices)}"
         )
     return FacetClassification(dim, tuple(sorted(units)), tuple(sorted(vertex)))
+
+
+def support_hyperplanes(m) -> FacetClassification:
+    """Facet normals of the Rees cone of m, classified."""
+    rc = rees_cone(m)
+    return classify_facets(rc, facet_normals(rc.cone))
 
 
 @dataclass(frozen=True)

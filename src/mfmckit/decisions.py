@@ -23,9 +23,9 @@ from .clutters import (
     minimal_vertex_covers,
     packing_property,
 )
-from .cones import is_integral_qa, support_hyperplanes
+from .cones import classify_facets, facet_normals, is_integral_qa, rees_cone
 from .errors import InconsistencyError, SizeLimit
-from .hilbert import hilbert_basis, is_normal, smith_invariants
+from .hilbert import basis_and_facets, normality, smith_invariants
 from .ideals import closure_power, ideal_equal, membership, ordinary_power, symbolic_power
 from .linalg import dot
 
@@ -34,8 +34,9 @@ TDI_BOX_CAP = 1_000_000
 
 class Analysis:
     """The Rees-cone objects of one clutter, each computed on first use
-    and kept: the facets, the covering-polyhedron vertices read off them,
-    the minimal vertex covers, the Hilbert basis and the power ideals."""
+    and kept: the Rees cone, its facets, the covering-polyhedron vertices
+    read off them, the minimal vertex covers, the Hilbert basis (its pass
+    also fills the facets, if not yet computed) and the power ideals."""
 
     POWERS = {
         "ordinary": lambda a, i: ordinary_power(a.clutter.matrix, i),
@@ -48,8 +49,12 @@ class Analysis:
         self._powers = {}
 
     @cached_property
+    def rees(self):
+        return rees_cone(self.clutter.matrix)
+
+    @cached_property
     def facets(self):
-        return support_hyperplanes(self.clutter.matrix)
+        return classify_facets(self.rees, facet_normals(self.rees.cone))
 
     @cached_property
     def vertices(self) -> tuple:
@@ -61,7 +66,9 @@ class Analysis:
 
     @cached_property
     def basis(self) -> tuple:
-        return hilbert_basis(self.clutter.matrix)
+        basis, normals = basis_and_facets(self.rees)
+        self.__dict__.setdefault("facets", classify_facets(self.rees, normals))
+        return basis
 
     def power(self, kind: str, i: int):
         """I^i, I^(i) or the integral closure of I^i, by kind in POWERS."""
@@ -199,7 +206,7 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     a = as_analysis(source)
     c = a.clutter
     # {fact: (holds, witness)} in Verdict field order; a fact set again keeps its place
-    facts = {"normal": is_normal(c.matrix, a.basis),
+    facts = {"normal": normality(a.rees, a.basis),
              "integral": is_integral_qa(c.matrix, a.vertices)}
     mfmc = facts["normal"][0] and facts["integral"][0]
     smith = smith_invariants(c.matrix)
@@ -236,8 +243,7 @@ def gr_reduced(source) -> bool:
     """Whether the associated graded ring is reduced: normality of the
     Rees algebra together with integrality of the covering polyhedron."""
     a = as_analysis(source)
-    m = a.clutter.matrix
-    return is_normal(m, a.basis)[0] and is_integral_qa(m, a.vertices)[0]
+    return normality(a.rees, a.basis)[0] and is_integral_qa(a.clutter.matrix, a.vertices)[0]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ heights over the coordinates and the facets.  The
 triangulation, each simplex's volume and the facets come from one double
 description pass: each insertion step names the facets the new
 generator sees, the generators on each and the generator's pairing
-with each facet normal.  R[It] is normal exactly when the basis is the
-generator set; semigroup membership stays as the independent check.
+with each facet normal, and basis_and_facets returns the facets with
+the basis.  R[It] is normal exactly when the basis is the generator
+set; semigroup membership stays as the independent check.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def _parallelepiped_points(simplex, volume, det_cap):
     return points
 
 
-def hilbert_basis(m, det_cap: int = DET_CAP):
-    """Minimal generating set of the lattice points of the Rees cone."""
-    rc = rees_cone(m)
+def basis_and_facets(rc, det_cap: int = DET_CAP):
+    """Minimal generating set of the lattice points of the Rees cone rc,
+    and rc's facet normals, both from one placing pass."""
     dim = rc.cone.dim
     gens = _insertion_order(rc.cone.generators)
     # the first full simplex, the n unit vectors and one lifted generator
@@ -127,7 +128,12 @@ def hilbert_basis(m, det_cap: int = DET_CAP):
         if not any(all(map(ge, hc, hb)) for hb in heights):
             basis.append(c)
             heights.append(hc)
-    return tuple(sorted(basis))
+    return tuple(sorted(basis)), facets
+
+
+def hilbert_basis(m, det_cap: int = DET_CAP):
+    """Minimal generating set of the lattice points of the Rees cone."""
+    return basis_and_facets(rees_cone(m), det_cap)[0]
 
 
 def semigroup_member(m, z) -> bool:
@@ -158,16 +164,19 @@ def semigroup_member(m, z) -> bool:
     return rec(0, b, tuple(a))
 
 
+def normality(rc, basis):
+    """is_normal for the Rees cone rc, given its sorted Hilbert basis."""
+    gens = set(rc.cone.generators)
+    return next(((False, z) for z in basis if z not in gens), (True, None))
+
+
 def is_normal(m, basis=None):
     """(True, None) when the Hilbert basis is the generator set, else
     (False, least basis element that is not a generator): an irreducible
     sum of generators is a generator, so semigroup_member, the oracle,
     fails exactly there.  basis, when given, is m's sorted Hilbert basis."""
-    gens = set(rees_cone(m).cone.generators)
-    for z in basis or hilbert_basis(m):
-        if z not in gens:
-            return False, z
-    return True, None
+    rc = rees_cone(m)
+    return normality(rc, basis or basis_and_facets(rc)[0])
 
 
 @dataclass(frozen=True)

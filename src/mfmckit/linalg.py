@@ -182,5 +182,8 @@ def _minimal_solutions(rows, n: int, bound: int, stage: str, cap: int = SEARCH_C
             slack[j] -= w * v
         a[k] = 0
 
-    visit(0, [])
+    try:
+        visit(0, [])
+    finally:
+        del visit  # visit refers to itself: break the cycle now, not at collection
     return tuple(out)

@@ -1,3 +1,4 @@
+import gc
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -10,11 +11,12 @@ from mfmckit.cli import main
 from mfmckit.clutters import (
     MinorSpec, clutter_from_edges, covering_number, enumerate_clutters,
     matching_number, packing_property)
-from mfmckit.cones import qa_vertices_direct
+from mfmckit.cones import qa_vertices_direct, support_hyperplanes
 from mfmckit.decisions import (
     TDI_BOX_CAP,
     Analysis,
     NtfResult,
+    ScanReport,
     TdiCounterexample,
     conjecture_scan,
     decide_mfmc,
@@ -25,6 +27,7 @@ from mfmckit.decisions import (
 )
 from mfmckit.errors import InconsistencyError, SizeLimit
 from mfmckit.hilbert import hilbert_basis, semigroup_member
+from mfmckit.ideals import symbolic_power
 from mfmckit.linalg import dot
 from mfmckit.reporting import analyze, parse_input, powers_table
 
@@ -233,10 +236,10 @@ def test_tdi_rejects_degenerate_box(triangle):
 
 
 def test_tdi_demand_box_is_capped(reference_clutter, monkeypatch):
-    # 31^5 demands: the cap must fire before the vertices or the grid
+    # 31^5 demands: the cap must fire before the Rees cone, its vertices or the grid
     def unreachable(m):
-        raise AssertionError("vertices computed past the cap")
-    monkeypatch.setattr("mfmckit.decisions.support_hyperplanes", unreachable)
+        raise AssertionError("Rees cone built past the cap")
+    monkeypatch.setattr("mfmckit.decisions.rees_cone", unreachable)
     with pytest.raises(SizeLimit) as exc:
         tdi_bounded_check(reference_clutter, 30)
     assert (exc.value.stage, exc.value.needed, exc.value.cap) == (
@@ -395,6 +398,7 @@ def test_packing_failures_have_checkable_witness(random100):
 COUNTED = {"ordinary_power": ideals, "symbolic_power": ideals,
            "closure_power": ideals, "qa_vertices_direct": cones,
            "support_hyperplanes": cones, "hilbert_basis": hilbert,
+           "rees_cone": cones, "_dd_steps": cones,
            "minimal_vertex_covers": clutters, "minor": clutters,
            "matching_number": clutters, "semigroup_member": hilbert,
            "packing_property": clutters, "_disjoint_edges": clutters}
@@ -426,13 +430,14 @@ def test_analyze_computes_each_object_once(monkeypatch, text, search):
     doc = parse_input(text)
     calls = count_calls(monkeypatch)
     analyze(doc, i_max=3, tdi_bound=2)
-    # basic-solution vertices run once, as the cross-check of the facet
-    # route; neither the membership search nor the full matching search
-    # runs; C5 fails Koenig, so its packing witness needs no minor walk,
-    # and the reference example has MFMC, so it runs no search at all
+    # one Rees cone and one double description pass give the basis and the
+    # facets; basic-solution vertices run once, as the cross-check of the
+    # facet route; neither the membership search nor the full matching
+    # search runs; C5 fails Koenig, so its packing witness needs no minor
+    # walk, and the reference example has MFMC, so it runs no search at all
     assert calls == {"ordinary_power": 3, "symbolic_power": 3, "closure_power": 3,
-                     "qa_vertices_direct": 1, "support_hyperplanes": 1,
-                     "hilbert_basis": 1, "minimal_vertex_covers": 1, **search}
+                     "qa_vertices_direct": 1, "rees_cone": 1, "_dd_steps": 1,
+                     "minimal_vertex_covers": 1, **search}
 
 
 def test_mfmc_verdicts_run_no_search(monkeypatch, reference_clutter, single_edge,
@@ -452,19 +457,24 @@ def test_decisions_skip_basic_solution_vertices(monkeypatch, random100, tmp_path
                                                 capsys):
     calls = count_calls(monkeypatch)
     failing = 0
-    for c in random100[:10]:
+    for k, c in enumerate(random100[:10], start=1):
         # the covers serve only the witnesses of a clutter without MFMC
         failing += not decide_mfmc(c, i_max=2).mfmc
         assert calls["minimal_vertex_covers"] == failing
+        # one Rees cone and one double description pass per verdict
+        assert calls["rees_cone"] == calls["_dd_steps"] == k
     assert 0 < failing < 10
     conjecture_scan(random100[:10])
+    cones_before = calls["rees_cone"]
+    assert calls["_dd_steps"] == cones_before
     path = tmp_path / "c5.in"
     path.write_text("edge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 1 5\n")
     assert main(["mfmc", str(path), "--imax", "2"]) == 0
     assert "mfmc: false" in capsys.readouterr().out
+    assert calls["rees_cone"] == calls["_dd_steps"] == cones_before + 1
     assert calls["qa_vertices_direct"] == calls["minor"] == 0
     assert calls["semigroup_member"] == calls["matching_number"] == 0
-    assert calls["support_hyperplanes"] > 0
+    assert calls["support_hyperplanes"] == calls["hilbert_basis"] == 0
 
 
 def test_analyze_checks_the_tdi_box_first(monkeypatch):
@@ -486,3 +496,53 @@ def test_analysis_gives_the_clutter_results(random100):
         assert tdi_bounded_check(a, 2) == tdi_bounded_check(c, 2)
         assert gr_reduced(a) == gr_reduced(c)
         assert powers_table(a) == powers_table(c)
+
+
+def test_analysis_reads_basis_and_facets_off_one_pass(monkeypatch, random100,
+                                                      reference_clutter, triangle,
+                                                      q6, single_edge, two_star):
+    cycles = [clutter_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+              for n in range(5, 10)]
+    family = [*random100, reference_clutter, triangle, q6, single_edge, two_star,
+              *cycles]
+    # the public wrappers, each with its own Rees cone and pass, are the oracle
+    expected = [(support_hyperplanes(c.matrix), hilbert_basis(c.matrix))
+                for c in family]
+    calls = count_calls(monkeypatch)
+    for k, (c, (facets, basis)) in enumerate(zip(family, expected), start=1):
+        first = Analysis(c)
+        assert (first.basis, first.facets) == (basis, facets)
+        # basis first: one pass; facets first: the facet-only pass, then the basis
+        assert calls["_dd_steps"] == 3 * k - 2
+        second = Analysis(c)
+        assert (second.facets, second.basis) == (facets, basis)
+        assert calls["_dd_steps"] == 3 * k
+        assert calls["rees_cone"] == 2 * k
+    assert calls["support_hyperplanes"] == calls["hilbert_basis"] == 0
+
+
+def test_scan_makes_one_pass_per_packing_clutter(monkeypatch):
+    calls = count_calls(monkeypatch)
+    report = conjecture_scan(enumerate_clutters(4, 4))
+    assert report == ScanReport(119, 75, 75, (), 34, 34, ())
+    assert calls["_dd_steps"] == calls["rees_cone"] == 75
+
+
+def test_searches_leave_no_reference_cycles(triangle):
+    # the recursive searches drop their self-referencing closures on return,
+    # so nothing waits for the cyclic collector, also when a cap stops them
+    c5 = clutter_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    gc.collect()
+    gc.disable()
+    try:
+        for c in (c5, triangle):
+            assert not decide_mfmc(c).mfmc
+            assert gc.collect() == 0
+        with pytest.raises(SizeLimit, match="symbolic power enumeration: needs 11 states"):
+            symbolic_power(c5, 3, cap=10)
+        assert gc.collect() == 0
+        with pytest.raises(SizeLimit, match="matching search: needs 3 states"):
+            matching_number(c5, cap=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -64,3 +64,19 @@ def test_the_cli_parser_is_built_only_at_import():
     in_functions = sum(builds(node) for node in tree.body
                        if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
     assert builds(tree) == 1 and in_functions == 0
+
+
+def test_decisions_build_the_rees_cone_only_in_analysis():
+    # Analysis builds the Rees cone once and runs its passes; a call of any
+    # of these elsewhere in decisions.py would build the cone again
+    tree = ast.parse((Path(mfmckit.__file__).parent / "decisions.py").read_text())
+    builders = {"rees_cone", "support_hyperplanes", "hilbert_basis",
+                "facet_normals", "basis_and_facets"}
+
+    def builds(node):
+        return sum(isinstance(n, ast.Call)
+                   and getattr(n.func, "id", getattr(n.func, "attr", None)) in builders
+                   for n in ast.walk(node))
+    in_analysis = sum(builds(node) for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "Analysis")
+    assert in_analysis > 0 and builds(tree) == in_analysis
