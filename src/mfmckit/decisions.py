@@ -3,9 +3,11 @@
 The MFMC verdict is the conjunction of two facts read off the Rees
 cone: the covering polyhedron has integral vertices (its vertex facets)
 and the Rees algebra is normal (Hilbert basis check).  By the same
-theorem the ideal is normally torsion free, and every minor Koenig,
-exactly then; the power, matching and minor searches run only to find
+theorem the ideal is normally torsion free and gr_I(R) reduced exactly
+then, and every minor is Koenig; the searches run only to find
 witnesses, and a certificate stands in for the ntf witness past i_max.
+The scan reads packing off the same two facts by Lehman's theorem and
+walks the minors only where the theorem leaves packing open.
 """
 
 from __future__ import annotations
@@ -307,20 +309,24 @@ class ScanReport:
 
 
 def conjecture_scan(family) -> ScanReport:
-    """Bounded evidence scan over a family of clutters.
-
-    Packing clutters are tested for a reduced associated graded ring;
-    those with constant edge size d >= 2 are additionally tested for
-    torsion-freeness.  Counterexamples are collected, never hidden."""
+    """Bounded evidence scan over a family of clutters: packing clutters
+    are tested for a reduced associated graded ring, and those with
+    constant edge size d >= 2 for torsion-freeness too.  Counterexamples
+    are collected, never hidden.  Packing forces integral vertices
+    (Lehman), and an integral normal clutter has MFMC, so it is packing
+    and reduced; the minor walk runs only on an integral clutter that is
+    not normal, a counterexample exactly when it is packing."""
     total = packing_true = reduced_ok = uniform = torsion_ok = 0
     bad_reduced, bad_torsion = [], []
     for c in family:
         total += 1
-        holds, _ = packing_property(c)
-        if not holds:
+        a = Analysis(c)
+        normal = normality(a.rees, a.basis)[0]  # first: its pass fills the facets
+        if not (is_integral_qa(c.matrix, a.vertices)[0]
+                and (normal or packing_property(c, covers=a.covers)[0])):
             continue
         packing_true += 1
-        if gr_reduced(c):
+        if normal:
             reduced_ok += 1
         else:
             bad_reduced.append(c)

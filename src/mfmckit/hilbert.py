@@ -161,7 +161,10 @@ def semigroup_member(m, z) -> bool:
                 return True
         return False
 
-    return rec(0, b, tuple(a))
+    try:
+        return rec(0, b, tuple(a))
+    finally:
+        del rec  # rec refers to itself: break the cycle now, not at collection
 
 
 def normality(rc, basis):

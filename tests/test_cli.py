@@ -220,16 +220,18 @@ def test_scan_json(capsys):
 
 
 def test_scan_counterexamples(capsys, monkeypatch):
-    # no small clutter is a real counterexample, so two reduced checks and
+    # no small clutter is a real counterexample, so two normality checks and
     # one torsion check are made to fail to pin how counterexamples print
     import mfmckit.decisions as decisions
     from mfmckit.clutters import clutter_from_edges
     from mfmckit.hilbert import SmithInvariants
-    not_reduced = {((1, 2), (0,)), ((2,), (1,), (0,))}
+    not_normal = {clutter_from_edges(3, e).matrix
+                  for e in ([(1, 2), (0,)], [(2,), (1,), (0,)])}
     with_torsion = {clutter_from_edges(3, [(0, 2), (0, 1)]).matrix}
-    reduced, smith = decisions.gr_reduced, decisions.smith_invariants
-    monkeypatch.setattr(decisions, "gr_reduced",
-                        lambda c: c.edges not in not_reduced and reduced(c))
+    normality, smith = decisions.normality, decisions.smith_invariants
+    monkeypatch.setattr(decisions, "normality",
+                        lambda rc, basis: (False, None) if rc.base in not_normal
+                        else normality(rc, basis))
     monkeypatch.setattr(decisions, "smith_invariants",
                         lambda m: SmithInvariants((1, 2), 2, False)
                         if m in with_torsion else smith(m))

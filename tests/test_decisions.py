@@ -26,7 +26,7 @@ from mfmckit.decisions import (
     tdi_bounded_check,
 )
 from mfmckit.errors import InconsistencyError, SizeLimit
-from mfmckit.hilbert import hilbert_basis, semigroup_member
+from mfmckit.hilbert import hilbert_basis, semigroup_member, smith_invariants
 from mfmckit.ideals import symbolic_power
 from mfmckit.linalg import dot
 from mfmckit.reporting import analyze, parse_input, powers_table
@@ -201,12 +201,17 @@ def test_mfmc_clutters_pass_the_searches(bounds, random100):
     # MFMC at weights 0, 1 and large is Koenig on every minor, and I^i =
     # I^(i) for all i; the verdict reads both off MFMC, the searches agree
     family = random100 if bounds is None else list(enumerate_clutters(*bounds))
-    mfmc = [c for c in family if decide_mfmc(c, i_max=1).mfmc]
+    verdicts = [decide_mfmc(c, i_max=1) for c in family]
+    mfmc = [c for c, v in zip(family, verdicts) if v.mfmc]
     assert 0 < len(mfmc) < len(family)
     for c in mfmc:
         assert packing_property(c) == (True, None)
         assert covering_number(c) == matching_number(c)
         assert ntf_check(c, 2).ok
+    # the converse direction the scan uses (Lehman): packing makes Q(A) integral
+    for c, v in zip(family, verdicts):
+        if not v.integral:
+            assert not packing_property(c)[0]
 
 
 # ---------------------------------------------------------------- tdi
@@ -344,6 +349,23 @@ def test_scan_skips_non_packing(triangle):
     assert rep.reduced_confirmed == 0
     assert rep.uniform_tested == 0
     assert rep.clean
+
+
+@pytest.mark.parametrize("bounds", [(4, 4), (5, 3)], ids=["scan4x4", "scan5x3"])
+def test_scan_matches_the_minor_walk(bounds):
+    # the scan reads packing off integrality and normality; the minor walk
+    # and gr_reduced on each clutter are the oracle
+    family = list(enumerate_clutters(*bounds))
+    packing = [c for c in family if packing_property(c)[0]]
+    reduced = [gr_reduced(c) for c in packing]
+    uniform = [c for c in packing if len(set(map(sum, c.matrix.columns))) == 1
+               and sum(c.matrix.columns[0]) >= 2]
+    torsion_free = [smith_invariants(c.matrix).torsion_free for c in uniform]
+    assert conjecture_scan(family) == ScanReport(
+        len(family), len(packing), sum(reduced),
+        tuple(c for c, ok in zip(packing, reduced) if not ok),
+        len(uniform), sum(torsion_free),
+        tuple(c for c, ok in zip(uniform, torsion_free) if not ok))
 
 
 def test_scan_single_edge(single_edge):
@@ -521,11 +543,14 @@ def test_analysis_reads_basis_and_facets_off_one_pass(monkeypatch, random100,
     assert calls["support_hyperplanes"] == calls["hilbert_basis"] == 0
 
 
-def test_scan_makes_one_pass_per_packing_clutter(monkeypatch):
+def test_scan_makes_one_pass_per_clutter(monkeypatch):
+    # every 4x4 clutter is either fractional or integral and normal, so
+    # packing comes off the one pass and no cover or minor search runs
     calls = count_calls(monkeypatch)
     report = conjecture_scan(enumerate_clutters(4, 4))
     assert report == ScanReport(119, 75, 75, (), 34, 34, ())
-    assert calls["_dd_steps"] == calls["rees_cone"] == 75
+    assert calls["_dd_steps"] == calls["rees_cone"] == 119
+    assert calls["packing_property"] == calls["minimal_vertex_covers"] == 0
 
 
 def test_searches_leave_no_reference_cycles(triangle):
@@ -543,6 +568,8 @@ def test_searches_leave_no_reference_cycles(triangle):
         assert gc.collect() == 0
         with pytest.raises(SizeLimit, match="matching search: needs 3 states"):
             matching_number(c5, cap=2)
+        assert gc.collect() == 0
+        assert semigroup_member(triangle.matrix, (1, 1, 1, 1))
         assert gc.collect() == 0
     finally:
         gc.enable()
