@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import le
 
 from .errors import EmptyEdge, NotAntichain, NotZeroOne, OverlappingSpec, SizeLimit
-from .linalg import SEARCH_CAP, _minimal_solutions
+from .linalg import _minimal_solutions
 
 MINOR_CAP = 3 ** 12
 MATCHING_CAP = 2_000_000
@@ -22,9 +23,9 @@ ENUMERATION_CAP = 1_000_000
 def _check_antichain(columns):
     # minimal generation: no exponent vector dominates another componentwise
     for a, b in itertools.combinations(columns, 2):
-        if all(x <= y for x, y in zip(a, b)):
+        if all(map(le, a, b)):
             raise NotAntichain(a, b)
-        if all(y <= x for x, y in zip(a, b)):
+        if all(map(le, b, a)):
             raise NotAntichain(b, a)
 
 
@@ -197,16 +198,15 @@ def _spec(zeros: int, ones: int) -> MinorSpec:
     return MinorSpec(members(zeros), members(ones))
 
 
-def all_minors(c: Clutter, cap: int = MINOR_CAP):
+def all_minors(c: Clutter):
     """All proper-and-improper minors of a clutter, deduplicated.
 
     Enumerates every disjoint (zeros, ones) pair, including the empty
     one, filters degenerate results and keeps the first spec producing
     each labeled edge set.
     """
-    total = 3 ** c.n
-    if total > cap:
-        raise SizeLimit("minor enumeration", total, cap)
+    if (total := 3 ** c.n) > MINOR_CAP:
+        raise SizeLimit("minor enumeration", total, MINOR_CAP)
     out, seen = [], set()
     for zeros, ones in _minor_specs(c.n):
         spec = _spec(zeros, ones)
@@ -221,10 +221,10 @@ def all_minors(c: Clutter, cap: int = MINOR_CAP):
     return tuple(out)
 
 
-def minimal_vertex_covers(c: Clutter, cap: int = SEARCH_CAP):
+def minimal_vertex_covers(c: Clutter):
     """All minimal transversals, as sorted index tuples in canonical order."""
     points = _minimal_solutions([(e, 1) for e in c.matrix.columns], c.n, 1,
-                                "cover enumeration", cap)
+                                "cover enumeration")
     return tuple(sorted(tuple(v for v, x in enumerate(a) if x) for a in points))
 
 
@@ -233,16 +233,16 @@ def covering_number(c: Clutter) -> int:
     return min(len(t) for t in minimal_vertex_covers(c))
 
 
-def _disjoint_edges(masks, target: int, cap: int = MATCHING_CAP) -> int:
+def _disjoint_edges(masks, target: int) -> int:
     """Most pairwise-disjoint masks, by exhaustion; stops once target are
-    found.  cap counts the search nodes."""
+    found.  MATCHING_CAP counts the search nodes."""
     best = nodes = 0
 
     def rec(i, used, count):
         nonlocal best, nodes
         nodes += 1
-        if nodes > cap:
-            raise SizeLimit("matching search", nodes, cap)
+        if nodes > MATCHING_CAP:
+            raise SizeLimit("matching search", nodes, MATCHING_CAP)
         if count > best:
             best = count
         if best >= target or i == len(masks) or count + len(masks) - i <= best:
@@ -258,9 +258,9 @@ def _disjoint_edges(masks, target: int, cap: int = MATCHING_CAP) -> int:
     return best
 
 
-def matching_number(c: Clutter, cap: int = MATCHING_CAP) -> int:
+def matching_number(c: Clutter) -> int:
     """Largest number of pairwise vertex-disjoint edges, by exhaustion."""
-    return _disjoint_edges(c.edge_masks(), c.q, cap)
+    return _disjoint_edges(c.edge_masks(), c.q)
 
 
 def koenig(c: Clutter) -> bool:

@@ -250,7 +250,7 @@ class QAPolyhedron:
     vertices: tuple
 
 
-def qa_vertices_direct(m, cap: int = QA_ENUM_CAP) -> QAPolyhedron:
+def qa_vertices_direct(m) -> QAPolyhedron:
     """Vertices by basic-feasible-solution enumeration.
 
     A basic solution makes n of the n + q constraint rows tight: the unit
@@ -263,9 +263,8 @@ def qa_vertices_direct(m, cap: int = QA_ENUM_CAP) -> QAPolyhedron:
     Independent of the Rees-cone route by construction.
     """
     n, q = m.n, m.q
-    total = comb(n + q, n)
-    if total > cap:
-        raise SizeLimit("vertex enumeration", total, cap)
+    if (total := comb(n + q, n)) > QA_ENUM_CAP:
+        raise SizeLimit("vertex enumeration", total, QA_ENUM_CAP)
     cols = m.columns
     found = set()
     for k in range(min(n, q) + 1):

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import le
 
 from .clutters import (
     Clutter,
@@ -168,7 +169,7 @@ def tdi_bounded_check(source, bound: int = 2) -> TdiReport:
     for checked, alpha in enumerate(demands, start=1):
         top = 0
         for v in cols:
-            if all(x <= y for x, y in zip(v, alpha)):
+            if all(map(le, v, alpha)):
                 prev = best[tuple(x - y for x, y in zip(alpha, v))]
                 if prev + 1 > top:
                     top = prev + 1

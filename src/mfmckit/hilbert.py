@@ -56,7 +56,7 @@ def _placing_triangulation(gens, dim):
     return volumes, tuple(sorted(v for v, _ in rays))
 
 
-def _parallelepiped_points(simplex, volume, det_cap):
+def _parallelepiped_points(simplex, volume):
     """Non-zero lattice points of {sum t_i w_i : 0 <= t_i < 1}, for a
     simplex of the given volume |det|.
 
@@ -64,8 +64,8 @@ def _parallelepiped_points(simplex, volume, det_cap):
     substitution give d W^-1, d = |det W|.  The points are W u / d for
     the classes u / d of Z^dim / W Z^dim, closed over integer tuples mod
     d from the columns of d W^-1."""
-    if volume > det_cap:
-        raise SizeLimit("parallelepiped enumeration", volume, det_cap)
+    if volume > DET_CAP:
+        raise SizeLimit("parallelepiped enumeration", volume, DET_CAP)
     dim = len(simplex)
     a = [[w[i] for w in simplex] + [int(i == j) for j in range(dim)]
          for i in range(dim)]
@@ -103,7 +103,7 @@ def _parallelepiped_points(simplex, volume, det_cap):
     return points
 
 
-def basis_and_facets(rc, det_cap: int = DET_CAP):
+def basis_and_facets(rc):
     """Minimal generating set of the lattice points of the Rees cone rc,
     and rc's facet normals, both from one placing pass."""
     dim = rc.cone.dim
@@ -116,7 +116,7 @@ def basis_and_facets(rc, det_cap: int = DET_CAP):
     for s, volume in volumes.items():
         if volume > 1:
             members = [g for i, g in enumerate(gens) if s >> i & 1]
-            candidates.update(_parallelepiped_points(members, volume, det_cap))
+            candidates.update(_parallelepiped_points(members, volume))
 
     # c - b lies in the cone exactly when c's heights over the coordinates
     # and the facets dominate b's; a non-zero c - b in the cone has a
@@ -131,9 +131,9 @@ def basis_and_facets(rc, det_cap: int = DET_CAP):
     return tuple(sorted(basis)), facets
 
 
-def hilbert_basis(m, det_cap: int = DET_CAP):
+def hilbert_basis(m):
     """Minimal generating set of the lattice points of the Rees cone."""
-    return basis_and_facets(rees_cone(m), det_cap)[0]
+    return basis_and_facets(rees_cone(m))[0]
 
 
 def semigroup_member(m, z) -> bool:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import le
 
 from .clutters import Clutter, minimal_vertex_covers
 from .cones import support_hyperplanes
 from .errors import NotSquareFree, SizeLimit
-from .linalg import SEARCH_CAP, _minimal_solutions
+from .linalg import _minimal_solutions
 
 ORDINARY_CAP = 500_000
 
@@ -26,7 +27,7 @@ def minimalize(vectors):
     degree compares each vector only against the minimal ones kept."""
     kept = []
     for v in sorted(set(map(tuple, vectors)), key=sum):
-        if not any(all(a <= b for a, b in zip(w, v)) for w in kept):
+        if not any(all(map(le, w, v)) for w in kept):
             kept.append(v)
     return tuple(sorted(kept))
 
@@ -53,20 +54,19 @@ class MonomialIdealGens:
 
 def membership(a, ideal: MonomialIdealGens) -> bool:
     """Whether x^a lies in the ideal: some generator divides it."""
-    return any(all(g <= x for g, x in zip(gen, a)) for gen in ideal.gens)
+    return any(all(map(le, gen, a)) for gen in ideal.gens)
 
 
 def ideal_equal(left: MonomialIdealGens, right: MonomialIdealGens) -> bool:
     return left.gens == right.gens
 
 
-def ordinary_power(m, i: int, cap: int = ORDINARY_CAP) -> MonomialIdealGens:
+def ordinary_power(m, i: int) -> MonomialIdealGens:
     """I^i: minimalized i-fold sums of the generator columns."""
     if i < 1:
         raise ValueError("power must be >= 1")
-    total = comb(m.q + i - 1, i)
-    if total > cap:
-        raise SizeLimit("ordinary power enumeration", total, cap)
+    if (total := comb(m.q + i - 1, i)) > ORDINARY_CAP:
+        raise SizeLimit("ordinary power enumeration", total, ORDINARY_CAP)
     sums = []
     for combo in itertools.combinations_with_replacement(m.columns, i):
         sums.append(tuple(map(sum, zip(*combo))))
@@ -81,7 +81,7 @@ def _as_clutter(source) -> Clutter:
     return Clutter(source)
 
 
-def symbolic_power(source, i: int, covers=None, cap: int = SEARCH_CAP) -> MonomialIdealGens:
+def symbolic_power(source, i: int, covers=None) -> MonomialIdealGens:
     """I^(i): minimal exponent vectors whose weight on every minimal
     vertex cover (covers, when given, already computed) is at least i.
     Entries of minimal generators never exceed i."""
@@ -91,10 +91,10 @@ def symbolic_power(source, i: int, covers=None, cap: int = SEARCH_CAP) -> Monomi
     covers = minimal_vertex_covers(c) if covers is None else covers
     rows = [(tuple(int(v in cover) for v in range(c.n)), i) for cover in covers]
     return MonomialIdealGens._trusted(_minimal_solutions(
-        rows, c.n, i, "symbolic power enumeration", cap))
+        rows, c.n, i, "symbolic power enumeration"))
 
 
-def closure_power(m, i: int, facets=None, cap: int = SEARCH_CAP) -> MonomialIdealGens:
+def closure_power(m, i: int, facets=None) -> MonomialIdealGens:
     """Integral closure of I^i: lattice points a with (a, i) in the Rees
     cone, minimalized.  A vertex normal (alpha', -b) is non-negative on
     the x-part (every e_k lies in the cone) and asks <alpha', a> >= i b;
@@ -105,4 +105,4 @@ def closure_power(m, i: int, facets=None, cap: int = SEARCH_CAP) -> MonomialIdea
         facets = support_hyperplanes(m)
     rows = [(f[:-1], -f[-1] * i) for f in facets.vertex_normals]
     return MonomialIdealGens._trusted(_minimal_solutions(
-        rows, m.n, i * m.max_entry(), "closure power enumeration", cap))
+        rows, m.n, i * m.max_entry(), "closure power enumeration"))

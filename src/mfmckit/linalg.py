@@ -119,7 +119,7 @@ def smith_invariant_factors(rows):
     return tuple(factors)
 
 
-def _minimal_solutions(rows, n: int, bound: int, stage: str, cap: int = SEARCH_CAP):
+def _minimal_solutions(rows, n: int, bound: int, stage: str):
     """Minimal points of {a in {0..bound}^n : <alpha, a> >= r for every
     row (alpha, r)}, alpha >= 0, in lexicographic order.
 
@@ -128,7 +128,7 @@ def _minimal_solutions(rows, n: int, bound: int, stage: str, cap: int = SEARCH_C
     alpha_k.  Slacks only grow, so a branch, and the loop over larger a_k,
     stops once an earlier positive coordinate cannot be critical or a row
     is out of reach; the last coordinate takes its least feasible value.
-    cap counts the nodes, fewer than the box's points."""
+    SEARCH_CAP counts the nodes, fewer than the box's points."""
     # touch[k]: (row, alpha_k) for the rows k adds to; tight[k]: (row, alpha_k,
     # the most k+1.. can add) for the rows that k+1.. alone may leave unmet
     touch = [[(j, alpha[k]) for j, (alpha, _) in enumerate(rows) if alpha[k]]
@@ -151,8 +151,8 @@ def _minimal_solutions(rows, n: int, bound: int, stage: str, cap: int = SEARCH_C
     def visit(k, placed):
         nonlocal nodes
         nodes += 1
-        if nodes > cap:
-            raise SizeLimit(stage, nodes, cap)
+        if nodes > SEARCH_CAP:
+            raise SizeLimit(stage, nodes, SEARCH_CAP)
         v = 0  # the least a_k that keeps every row within reach
         for j, w, s in tight[k]:
             if -slack[j] - s > v * w:

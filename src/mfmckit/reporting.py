@@ -117,6 +117,10 @@ def _parse_native(lines) -> InputDocument:
             raise ParseError(no, "';' without a directive")
         if toks[0] != "edge":
             raise ParseError(no, f"unknown directive {toks[0]!r}")
+        if ";" in text:
+            raise ParseError(no, "';' before the end of the line: one edge per line")
+        if "edge" in toks[1:]:
+            raise ParseError(no, "a second 'edge' on the line: one edge per line")
         if len(toks) == 1:
             raise ParseError(no, "edge without vertices")
         edges.append(tuple(toks[1:]))

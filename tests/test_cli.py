@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from mfmckit import linalg
 from mfmckit.cli import main
 from mfmckit.errors import (
     ClassificationError, InconsistencyError, MfmcError, SizeLimit)
@@ -330,6 +331,18 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("edge x1 x2; edge x2 x3;\n", "';' before the end of the line"),
+    ("edge a b edge c d\n", "a second 'edge' on the line"),
+], ids=["semicolon", "second-edge"])
+def test_two_edges_on_one_line_are_an_input_error(capsys, tmp_path, text, reason):
+    # read as one edge, either line would give a single-edge clutter with MFMC
+    path = tmp_path / "merged.in"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["mfmc", str(path)])
+    assert (rc, out, err) == (2, "", f"input error: line 1: {reason}: one edge per line\n")
+
+
 @pytest.mark.parametrize("make, reason", [
     (lambda path: None, "No such file or directory"),
     (lambda path: path.mkdir(), "Is a directory"),
@@ -363,6 +376,16 @@ def test_size_limit_exit_code(capsys, tmp_path):
 def test_demand_box_and_enumeration_caps(capsys, reference_file, argv, message):
     rc, out, err = run(capsys, [a.format(r=reference_file) for a in argv])
     assert (rc, out, err) == (3, "", message)
+
+
+def test_search_cap_constant_binds_in_mfmc(capsys, tmp_path, monkeypatch):
+    # the cover search on C5 visits 4 nodes before it passes a cap of 3
+    monkeypatch.setattr(linalg, "SEARCH_CAP", 3)
+    path = tmp_path / "c5.in"
+    path.write_text(C5_NATIVE)
+    rc, out, err = run(capsys, ["mfmc", str(path)])
+    assert (rc, out, err) == (
+        3, "", "size limit: cover enumeration: needs 4 states, cap is 3\n")
 
 
 def test_internal_error_exit_code(capsys, reference_file, monkeypatch):

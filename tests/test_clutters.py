@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from mfmckit import clutters, linalg
 from mfmckit.clutters import (
     Clutter,
     ExponentMatrix,
@@ -164,10 +165,11 @@ def test_all_minors_keeps_first_spec(reference_clutter):
     assert ms[0][1] == reference_clutter
 
 
-def test_all_minors_cap():
+def test_all_minors_cap(monkeypatch):
     c = clutter_from_edges(3, [(0, 1, 2)])
+    monkeypatch.setattr(clutters, "MINOR_CAP", 5)
     with pytest.raises(SizeLimit):
-        all_minors(c, cap=5)
+        all_minors(c)
 
 
 # ---------------------------------------------------------------- covers
@@ -187,10 +189,11 @@ def test_minimal_vertex_covers_single(single_edge):
     assert minimal_vertex_covers(single_edge) == ((0,),)
 
 
-def test_minimal_vertex_covers_cap(reference_clutter):
+def test_minimal_vertex_covers_cap(reference_clutter, monkeypatch):
     # the search visits 21 nodes here
+    monkeypatch.setattr(linalg, "SEARCH_CAP", 10)
     with pytest.raises(SizeLimit) as exc:
-        minimal_vertex_covers(reference_clutter, cap=10)
+        minimal_vertex_covers(reference_clutter)
     assert exc.value.stage == "cover enumeration"
     assert exc.value.cap == 10
 
@@ -292,11 +295,13 @@ def test_packing_keeps_the_minor_route_caps():
     assert packing_property(k8) == (False, MinorSpec((), ()))
 
 
-def test_matching_cap():
+def test_matching_cap(monkeypatch):
     # taking the four disjoint edges one by one visits five nodes
     c = clutter_from_edges(4, [(0,), (1,), (2,), (3,)])
-    with pytest.raises(SizeLimit):
-        matching_number(c, cap=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(clutters, "MATCHING_CAP", 3)
+        with pytest.raises(SizeLimit):
+            matching_number(c)
     assert matching_number(c) == 4
 
 

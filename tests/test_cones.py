@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from mfmckit import cones
 from mfmckit.clutters import ExponentMatrix
 from mfmckit.cones import (
     FacetClassification,
@@ -252,9 +253,10 @@ def test_vertex_routes_agree_on_larger_clutters():
         assert qa_vertices_direct(m).vertices == support_hyperplanes(m).qa_vertices()
 
 
-def test_qa_vertices_cap(reference_matrix):
+def test_qa_vertices_cap(reference_matrix, monkeypatch):
+    monkeypatch.setattr(cones, "QA_ENUM_CAP", 10)
     with pytest.raises(SizeLimit):
-        qa_vertices_direct(reference_matrix, cap=10)
+        qa_vertices_direct(reference_matrix)
 
 
 def test_is_integral(reference_matrix, triangle):

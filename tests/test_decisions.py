@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from mfmckit import clutters, cones, decisions, hilbert, ideals
+from mfmckit import clutters, cones, decisions, hilbert, ideals, linalg
 from mfmckit.cli import main
 from mfmckit.clutters import (
     MinorSpec, clutter_from_edges, covering_number, enumerate_clutters,
@@ -249,6 +249,35 @@ def test_tdi_demand_box_is_capped(reference_clutter, monkeypatch):
         tdi_bounded_check(reference_clutter, 30)
     assert (exc.value.stage, exc.value.needed, exc.value.cap) == (
         "tdi demand box", 31 ** 5, TDI_BOX_CAP)
+
+
+# the symbolic power first finds the covers, 21 search nodes on the reference
+# clutter, so its cap lets that search through
+@pytest.mark.parametrize("module, constant, value, call, stage", [
+    (linalg, "SEARCH_CAP", 1, lambda fx: clutters.minimal_vertex_covers(fx("reference_clutter")),
+     "cover enumeration"),
+    (linalg, "SEARCH_CAP", 50, lambda fx: ideals.symbolic_power(fx("reference_clutter"), 3),
+     "symbolic power enumeration"),
+    (linalg, "SEARCH_CAP", 1, lambda fx: ideals.closure_power(fx("reference_matrix"), 2),
+     "closure power enumeration"),
+    (clutters, "MATCHING_CAP", 1, lambda fx: clutters.matching_number(fx("reference_clutter")),
+     "matching search"),
+    (clutters, "MINOR_CAP", 1, lambda fx: clutters.all_minors(fx("triangle")),
+     "minor enumeration"),
+    (cones, "QA_ENUM_CAP", 1, lambda fx: cones.qa_vertices_direct(fx("reference_matrix")),
+     "vertex enumeration"),
+    (hilbert, "DET_CAP", 1, lambda fx: hilbert.hilbert_basis(fx("squares_matrix")),
+     "parallelepiped enumeration"),
+    (ideals, "ORDINARY_CAP", 1, lambda fx: ideals.ordinary_power(fx("reference_matrix"), 3),
+     "ordinary power enumeration"),
+], ids=["covers", "symbolic", "closure", "matching", "minors", "qa-vertices", "det",
+        "ordinary"])
+def test_each_constant_is_the_cap(request, monkeypatch, module, constant, value, call, stage):
+    # assigning a module's named cap changes the cap its check enforces
+    monkeypatch.setattr(module, constant, value)
+    with pytest.raises(SizeLimit) as exc:
+        call(request.getfixturevalue)
+    assert (exc.value.stage, exc.value.cap) == (stage, value)
 
 
 # ---------------------------------------------------------------- no vacuous verdicts
@@ -553,7 +582,7 @@ def test_scan_makes_one_pass_per_clutter(monkeypatch):
     assert calls["packing_property"] == calls["minimal_vertex_covers"] == 0
 
 
-def test_searches_leave_no_reference_cycles(triangle):
+def test_searches_leave_no_reference_cycles(triangle, monkeypatch):
     # the recursive searches drop their self-referencing closures on return,
     # so nothing waits for the cyclic collector, also when a cap stops them
     c5 = clutter_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -563,11 +592,14 @@ def test_searches_leave_no_reference_cycles(triangle):
         for c in (c5, triangle):
             assert not decide_mfmc(c).mfmc
             assert gc.collect() == 0
+        covers = clutters.minimal_vertex_covers(c5)  # the cap below would stop this search too
+        monkeypatch.setattr(linalg, "SEARCH_CAP", 10)
         with pytest.raises(SizeLimit, match="symbolic power enumeration: needs 11 states"):
-            symbolic_power(c5, 3, cap=10)
+            symbolic_power(c5, 3, covers)
         assert gc.collect() == 0
+        monkeypatch.setattr(clutters, "MATCHING_CAP", 2)
         with pytest.raises(SizeLimit, match="matching search: needs 3 states"):
-            matching_number(c5, cap=2)
+            matching_number(c5)
         assert gc.collect() == 0
         assert semigroup_member(triangle.matrix, (1, 1, 1, 1))
         assert gc.collect() == 0

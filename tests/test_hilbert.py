@@ -9,7 +9,7 @@ from mfmckit.cones import (
     _insertion_order, attach_facets, cone_member, facet_normals, rees_cone)
 from mfmckit.errors import InconsistencyError, SizeLimit
 from mfmckit.hilbert import (
-    DET_CAP, _parallelepiped_points, _placing_triangulation, hilbert_basis,
+    _parallelepiped_points, _placing_triangulation, hilbert_basis,
     is_normal, semigroup_member, smith_invariants)
 
 from oracles import (
@@ -128,7 +128,7 @@ def test_parallelepiped_points_match_the_oracle(request, family):
     for m in PARALLELEPIPED_FAMILIES[family](request.getfixturevalue):
         for members, volume in _simplices(m):
             if volume > 1:
-                points = _parallelepiped_points(members, volume, DET_CAP)
+                points = _parallelepiped_points(members, volume)
                 assert len(points) == volume - 1
                 assert set(points) == parallelepiped_points(members)
                 checked += 1
@@ -141,7 +141,7 @@ def test_parallelepiped_rejects_a_wrong_volume(squares_matrix):
     assert volume == 2
     for wrong in (1, 3, 4):
         with pytest.raises(InconsistencyError, match="group has order 2"):
-            _parallelepiped_points(members, wrong, DET_CAP)
+            _parallelepiped_points(members, wrong)
 
 
 # ---------------------------------------------------------------- basis
@@ -230,9 +230,10 @@ def test_generators_stay_in_basis_for_clutters(random100):
         assert set(rees_cone(c.matrix).cone.generators) <= hb
 
 
-def test_det_cap(squares_matrix):
+def test_det_cap(squares_matrix, monkeypatch):
+    monkeypatch.setattr(hilbert, "DET_CAP", 1)
     with pytest.raises(SizeLimit) as exc:
-        hilbert_basis(squares_matrix, det_cap=1)
+        hilbert_basis(squares_matrix)
     assert exc.value.stage == "parallelepiped enumeration"
     assert exc.value.needed == 2
 

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from mfmckit import ideals, linalg
 from mfmckit.clutters import ExponentMatrix, clutter_from_edges, minimal_vertex_covers
 from mfmckit.cones import facet_normals, rees_cone
 from mfmckit.errors import NotSquareFree, SizeLimit
@@ -84,9 +85,10 @@ def test_ordinary_rejects_zero_power(reference_matrix):
         ordinary_power(reference_matrix, 0)
 
 
-def test_ordinary_cap(reference_matrix):
+def test_ordinary_cap(reference_matrix, monkeypatch):
+    monkeypatch.setattr(ideals, "ORDINARY_CAP", 10)
     with pytest.raises(SizeLimit) as exc:
-        ordinary_power(reference_matrix, 3, cap=10)
+        ordinary_power(reference_matrix, 3)
     assert exc.value.stage == "ordinary power enumeration"
 
 
@@ -122,10 +124,11 @@ def test_symbolic_needs_square_free(squares_matrix):
         symbolic_power(squares_matrix, 1)
 
 
-def test_symbolic_cap(reference_clutter):
+def test_symbolic_cap(reference_clutter, monkeypatch):
     # the search visits 119 nodes here
+    monkeypatch.setattr(linalg, "SEARCH_CAP", 50)
     with pytest.raises(SizeLimit) as exc:
-        symbolic_power(reference_clutter, 3, cap=50)
+        symbolic_power(reference_clutter, 3)
     assert exc.value.stage == "symbolic power enumeration"
     assert exc.value.cap == 50
 
@@ -179,10 +182,11 @@ def test_closure_rejects_zero_power(squares_matrix):
         closure_power(squares_matrix, 0)
 
 
-def test_closure_cap(reference_matrix):
+def test_closure_cap(reference_matrix, monkeypatch):
     # the search visits 56 nodes here
+    monkeypatch.setattr(linalg, "SEARCH_CAP", 50)
     with pytest.raises(SizeLimit) as exc:
-        closure_power(reference_matrix, 2, cap=50)
+        closure_power(reference_matrix, 2)
     assert exc.value.stage == "closure power enumeration"
     assert exc.value.cap == 50
 
@@ -292,14 +296,17 @@ def test_closure_scan_matches_pairwise_oracle(random100, squares_matrix,
     assert checked == 306
 
 
-def test_search_nodes_stay_within_the_box(random100):
+def test_search_nodes_stay_within_the_box(random100, monkeypatch):
     # each level has at most bound + 1 children and the last is solved
     # directly, so a cap of the box size never fires
     for c in random100:
-        assert minimal_vertex_covers(c, cap=2 ** c.n)
+        monkeypatch.setattr(linalg, "SEARCH_CAP", 2 ** c.n)
+        assert minimal_vertex_covers(c)
         for i in (1, 2, 3):
-            assert symbolic_power(c, i, cap=(i + 1) ** c.n)
-            assert closure_power(c.matrix, i, cap=(i * c.matrix.max_entry() + 1) ** c.n)
+            monkeypatch.setattr(linalg, "SEARCH_CAP", (i + 1) ** c.n)
+            assert symbolic_power(c, i)
+            monkeypatch.setattr(linalg, "SEARCH_CAP", (i * c.matrix.max_entry() + 1) ** c.n)
+            assert closure_power(c.matrix, i)
 
 
 def test_search_output_is_already_canonical(random100):

@@ -53,6 +53,19 @@ def test_every_cap_is_documented():
     assert len(caps) >= 8 and missing == []
 
 
+def test_caps_are_module_constants_not_parameters():
+    # each check reads its module's named cap; only packing_property keeps
+    # a cap parameter, which carries --minor-cap, and SizeLimit.__init__
+    # takes the cap it reports
+    found = [f"{path.stem}.{node.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.FunctionDef)
+             and any(isinstance(a, ast.arg) and a.arg in ("cap", "det_cap")
+                     for a in ast.walk(node.args))]
+    assert found == ["clutters.packing_property", "errors.__init__"]
+
+
 def test_the_cli_parser_is_built_only_at_import():
     # main() reuses one parser built at import; a build_parser() call in a
     # function body would build it again on every call
