@@ -3,7 +3,8 @@
 The basis is computed by a placing triangulation of the generator list,
 integer lattice-point enumeration inside the fundamental parallelepiped
 of each simplex of volume > 1, and an irreducibility reduction by
-heights over the coordinates and the facets.  The
+heights over the coordinates and the facets; with no such simplex the
+basis is the generator set, unreduced.  The
 triangulation, each simplex's volume and the facets come from one double
 description pass: each insertion step names the facets the new
 generator sees, the generators on each and the generator's pairing
@@ -22,6 +23,7 @@ from .errors import InconsistencyError, SizeLimit
 from .linalg import _exact_div, _scaled_solve, dot, smith_invariant_factors
 
 DET_CAP = 10 ** 6
+SIMPLEX_CAP = 10 ** 6
 
 
 def _placing_triangulation(gens, dim):
@@ -53,6 +55,8 @@ def _placing_triangulation(gens, dim):
                         w = gens[(s & ~z).bit_length() - 1]
                         grown[(s & z) | bit] = _exact_div(vol * -p, dot(v, w))
             volumes.update(grown)
+            if len(volumes) > SIMPLEX_CAP:
+                raise SizeLimit("placing triangulation", len(volumes), SIMPLEX_CAP)
     return volumes, tuple(sorted(v for v, _ in rays))
 
 
@@ -105,13 +109,21 @@ def _parallelepiped_points(simplex, volume):
 
 def basis_and_facets(rc):
     """Minimal generating set of the lattice points of the Rees cone rc,
-    and rc's facet normals, both from one placing pass."""
+    and rc's facet normals, both from one placing pass.
+
+    The reduction runs only when some simplex has volume > 1.  Otherwise
+    every lattice point is an N-combination of one simplex's generators,
+    and none of those splits: e_i has coordinate sum 1, and (v_j, 1) =
+    (a, 0) + (v_j - a, 1), a != 0, needs some v_k <= v_j - a < v_j, which
+    the antichain of columns rules out."""
     dim = rc.cone.dim
     gens = _insertion_order(rc.cone.generators)
     # the first full simplex, the n unit vectors and one lifted generator
     # (v, 1), is unimodular, so the relative volumes are the |det|s; a
     # unimodular simplex has no parallelepiped points
     volumes, facets = _placing_triangulation(gens, dim)
+    if max(volumes.values()) == 1:
+        return rc.cone.generators, facets
     candidates = set(gens)
     for s, volume in volumes.items():
         if volume > 1:

@@ -21,9 +21,9 @@ def dot(u, v) -> int:
 
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (direction kept)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in v)

@@ -121,6 +121,8 @@ def _parse_native(lines) -> InputDocument:
             raise ParseError(no, "';' before the end of the line: one edge per line")
         if "edge" in toks[1:]:
             raise ParseError(no, "a second 'edge' on the line: one edge per line")
+        if any(t.startswith("#") for t in toks[1:]):
+            raise ParseError(no, "'#' after an edge: comments take a whole line")
         if len(toks) == 1:
             raise ParseError(no, "edge without vertices")
         edges.append(tuple(toks[1:]))

@@ -343,6 +343,15 @@ def test_two_edges_on_one_line_are_an_input_error(capsys, tmp_path, text, reason
     assert (rc, out, err) == (2, "", f"input error: line 1: {reason}: one edge per line\n")
 
 
+def test_inline_comment_is_an_input_error(capsys, tmp_path):
+    # read as labels, "# first" would give the edge {#, a, b, first} and MFMC
+    path = tmp_path / "commented.in"
+    path.write_text("edge a b # first\nedge b c\n")
+    rc, out, err = run(capsys, ["mfmc", str(path)])
+    assert (rc, out, err) == (
+        2, "", "input error: line 1: '#' after an edge: comments take a whole line\n")
+
+
 @pytest.mark.parametrize("make, reason", [
     (lambda path: None, "No such file or directory"),
     (lambda path: path.mkdir(), "Is a directory"),

@@ -268,10 +268,12 @@ def test_tdi_demand_box_is_capped(reference_clutter, monkeypatch):
      "vertex enumeration"),
     (hilbert, "DET_CAP", 1, lambda fx: hilbert.hilbert_basis(fx("squares_matrix")),
      "parallelepiped enumeration"),
+    (hilbert, "SIMPLEX_CAP", 1, lambda fx: hilbert.hilbert_basis(fx("reference_matrix")),
+     "placing triangulation"),
     (ideals, "ORDINARY_CAP", 1, lambda fx: ideals.ordinary_power(fx("reference_matrix"), 3),
      "ordinary power enumeration"),
 ], ids=["covers", "symbolic", "closure", "matching", "minors", "qa-vertices", "det",
-        "ordinary"])
+        "simplices", "ordinary"])
 def test_each_constant_is_the_cap(request, monkeypatch, module, constant, value, call, stage):
     # assigning a module's named cap changes the cap its check enforces
     monkeypatch.setattr(module, constant, value)

@@ -11,6 +11,7 @@ from mfmckit.errors import InconsistencyError, SizeLimit
 from mfmckit.hilbert import (
     _parallelepiped_points, _placing_triangulation, hilbert_basis,
     is_normal, semigroup_member, smith_invariants)
+from mfmckit.linalg import dot
 
 from oracles import (
     decomposes, frac_det, monoid_member, parallelepiped_points,
@@ -173,6 +174,61 @@ def test_basis_squares_needs_extra_element(squares_matrix):
 def test_basis_mixed_pair(mixed_pair_matrix):
     assert hilbert_basis(mixed_pair_matrix) == (
         (0, 1, 0), (1, 0, 0), (1, 2, 1), (2, 1, 1))
+
+
+def oracle_basis(m):
+    """The oracle triangulation's generators and parallelepiped points,
+    less each one that decomposes into the others, and whether every
+    simplex of that triangulation is unimodular."""
+    cone = rees_cone(m).cone
+    simplices = placing_triangulation(_insertion_order(cone.generators), cone.dim)
+    candidates = set(cone.generators)
+    for simplex in simplices:
+        candidates |= parallelepiped_points(list(simplex))
+    basis = sorted(c for c in candidates if not decomposes(c, candidates - {c}))
+    return tuple(basis), all(abs(frac_det(list(s))) == 1 for s in simplices)
+
+
+BASIS_FAMILIES = {
+    **PARALLELEPIPED_FAMILIES,
+    "fixtures": lambda fx: [fx("squares_matrix"), fx("mixed_pair_matrix")],
+}
+
+
+@pytest.mark.parametrize("family", BASIS_FAMILIES)
+def test_basis_matches_the_oracle(request, family):
+    unimodular = 0
+    for m in BASIS_FAMILIES[family](request.getfixturevalue):
+        basis, flat = oracle_basis(m)
+        assert hilbert_basis(m) == basis, m.columns
+        unimodular += flat
+    # both branches of basis_and_facets, unreduced and reduced, are exercised
+    assert unimodular == {"fano": 0, "general": 112, "random100": 100,
+                          "fixtures": 1}[family]
+
+
+def test_unimodular_cones_compute_no_facet_height(monkeypatch, random100,
+                                                  squares_matrix):
+    # every dot after the placing pass is a candidate's height over a facet
+    heights = Counter()
+    placing = hilbert._placing_triangulation
+
+    def placed(*args):
+        out = placing(*args)
+        heights.clear()
+        return out
+
+    def counted(u, v):
+        heights["dot"] += 1
+        return dot(u, v)
+    monkeypatch.setattr(hilbert, "_placing_triangulation", placed)
+    monkeypatch.setattr(hilbert, "dot", counted)
+    for c in random100:
+        hilbert_basis(c.matrix)
+        assert heights == {}
+    # squares_matrix has a simplex of volume 2: 5 candidates times 4 facets
+    hilbert_basis(squares_matrix)
+    assert heights == {"dot": 20}
 
 
 def test_basis_sorted_unique(random100):
