@@ -298,10 +298,13 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
     most max_edges edges, in a deterministic order.
 
     Isolated vertices are disallowed, so each family appears exactly
-    once (at the vertex count it actually uses).  The walk visits
-    C(2^n - 1, k) candidate families for each n and k <= max_edges; their
-    count, summed vertex count by vertex count until it passes the cap,
-    must stay within ENUMERATION_CAP."""
+    once (at the vertex count it actually uses).  For each n and edge
+    count k, one depth-first pass picks k non-empty subsets in
+    itertools.combinations order, each incomparable with those already
+    picked, so only antichains are visited.  Their number is bounded by
+    the C(2^n - 1, k) candidate families for each n and k <= max_edges,
+    whose count, summed vertex count by vertex count until it passes the
+    cap, must stay within ENUMERATION_CAP."""
     candidates = 0
     for n in range(1, max_vertices + 1):
         if candidates > ENUMERATION_CAP:
@@ -311,13 +314,31 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
     if candidates > ENUMERATION_CAP:
         raise SizeLimit("clutter enumeration", candidates, ENUMERATION_CAP)
     for n in range(1, max_vertices + 1):
-        subsets = [tuple(e) for k in range(1, n + 1)
-                   for e in itertools.combinations(range(n), k)]
-        for count in range(1, min(max_edges, len(subsets)) + 1):
-            for family in itertools.combinations(subsets, count):
-                sets = [set(e) for e in family]
-                if any(a <= b for a, b in itertools.permutations(sets, 2)):
-                    continue
-                if set().union(*sets) != set(range(n)):
-                    continue
-                yield clutter_from_edges(n, family)
+        subsets = [e for k in range(1, n + 1) for e in itertools.combinations(range(n), k)]
+        masks = [sum(1 << i for i in e) for e in subsets]
+        full = (1 << n) - 1
+        # later[i]: the later subsets incomparable with subset i, as a bitmask
+        later = [sum(1 << j for j in range(i + 1, len(masks))
+                     if a & masks[j] not in (a, masks[j]))
+                 for i, a in enumerate(masks)]
+
+        def extend(chosen, free, union, left):
+            # free: the subsets that may still join chosen, as a bitmask; a
+            # branch with fewer than left of them yields nothing
+            if not left:
+                if union == full:
+                    yield chosen
+                return
+            while free.bit_count() >= left:
+                low = free & -free
+                free ^= low
+                i = low.bit_length() - 1
+                yield from extend(chosen + (subsets[i],), free & later[i],
+                                  union | masks[i], left - 1)
+
+        try:
+            for count in range(1, min(max_edges, len(subsets)) + 1):
+                for family in extend((), (1 << len(subsets)) - 1, 0, count):
+                    yield clutter_from_edges(n, family)
+        finally:
+            del extend  # extend refers to itself: break the cycle now, not at collection

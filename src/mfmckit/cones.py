@@ -20,6 +20,7 @@ from .errors import ClassificationError, SizeLimit, ZeroCone
 from .linalg import _scaled_solve, dot, primitive
 
 QA_ENUM_CAP = 1_000_000
+RAY_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,8 @@ def _dd_steps(constraints, dim):
     of {y : <y, c> >= 0}.  After each one, yield whether it raised the
     span of those so far, the ([vector, zero-set], <vector, c>) pairs of
     the rays it cut off, and the current [vector, zero-set] rays and
-    lineality basis (live lists)."""
+    lineality basis (live lists).  RAY_CAP bounds the rays after each
+    step."""
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []  # [vector, zero-set bitmask]
     for idx, c in enumerate(constraints):
@@ -81,39 +83,41 @@ def _dd_steps(constraints, dim):
                 new_rays.append([vec, z | bit])
             new_rays.append([l0, bit - 1])
             lin, rays = new_lin, new_rays
-            yield True, (), rays, lin
-            continue
-        pos, zero, neg = [], [], []
-        for ray in rays:
-            p = dot(ray[0], c)
-            if p > 0:
-                pos.append((ray, p))
-            elif p < 0:
-                neg.append((ray, p))
-            else:
-                zero.append(ray)
-        survivors = [ray for ray, _ in pos]
-        rank = dim - len(lin)
-        for ray in zero:
-            ray[1] |= bit
-            survivors.append(ray)
-        for rp, pp in pos:
-            for rn, pn in neg:
-                meet = rp[1] & rn[1]
-                # adjacent rays span a 2-face, where rank - 2 independent
-                # constraints are tight; rank is that of the constraints so far
-                if meet.bit_count() < rank - 2:
-                    continue
-                blocked = any(
-                    r is not rp and r is not rn and (r[1] & meet) == meet
-                    for r in rays
-                )
-                if blocked:
-                    continue
-                w = primitive(tuple(pp * b - pn * a for a, b in zip(rp[0], rn[0])))
-                survivors.append([w, meet | bit])
-        rays = survivors
-        yield False, neg, rays, lin
+            raised, neg = True, ()
+        else:
+            pos, zero, neg = [], [], []
+            for ray in rays:
+                p = dot(ray[0], c)
+                if p > 0:
+                    pos.append((ray, p))
+                elif p < 0:
+                    neg.append((ray, p))
+                else:
+                    zero.append(ray)
+            survivors = [ray for ray, _ in pos]
+            rank = dim - len(lin)
+            for ray in zero:
+                ray[1] |= bit
+                survivors.append(ray)
+            for rp, pp in pos:
+                for rn, pn in neg:
+                    meet = rp[1] & rn[1]
+                    # adjacent rays span a 2-face, where rank - 2 independent
+                    # constraints are tight; rank is that of the constraints so far
+                    if meet.bit_count() < rank - 2:
+                        continue
+                    blocked = any(
+                        r is not rp and r is not rn and (r[1] & meet) == meet
+                        for r in rays
+                    )
+                    if blocked:
+                        continue
+                    w = primitive(tuple(pp * b - pn * a for a, b in zip(rp[0], rn[0])))
+                    survivors.append([w, meet | bit])
+            rays, raised = survivors, False
+        if len(rays) > RAY_CAP:
+            raise SizeLimit("double description", len(rays), RAY_CAP)
+        yield raised, neg, rays, lin
 
 
 def _dual_rays(constraints, dim):

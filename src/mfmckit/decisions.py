@@ -38,8 +38,9 @@ TDI_BOX_CAP = 1_000_000
 class Analysis:
     """The Rees-cone objects of one clutter, each computed on first use
     and kept: the Rees cone, its facets, the covering-polyhedron vertices
-    read off them, the minimal vertex covers, the Hilbert basis (its pass
-    also fills the facets, if not yet computed) and the power ideals."""
+    read off them and whether they are integral, the minimal vertex
+    covers, the Hilbert basis (its pass also fills the facets, if not yet
+    computed) and the power ideals."""
 
     POWERS = {
         "ordinary": lambda a, i: ordinary_power(a.clutter.matrix, i),
@@ -62,6 +63,12 @@ class Analysis:
     @cached_property
     def vertices(self) -> tuple:
         return self.facets.qa_vertices()
+
+    @cached_property
+    def integral(self) -> bool:
+        # a vertex normal (alpha', -b) is primitive, so alpha'/b is
+        # integral exactly when b = 1
+        return all(f[-1] == -1 for f in self.facets.vertex_normals)
 
     @cached_property
     def covers(self) -> tuple:
@@ -208,9 +215,11 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     require_i_max(i_max)
     a = as_analysis(source)
     c = a.clutter
-    # {fact: (holds, witness)} in Verdict field order; a fact set again keeps its place
+    # {fact: (holds, witness)} in Verdict field order; a fact set again keeps its place;
+    # the vertices are read only for a fractional clutter's witness
     facts = {"normal": normality(a.rees, a.basis),
-             "integral": is_integral_qa(c.matrix, a.vertices)}
+             "integral": ((True, None) if a.integral
+                          else is_integral_qa(c.matrix, a.vertices))}
     mfmc = facts["normal"][0] and facts["integral"][0]
     smith = smith_invariants(c.matrix)
     # MFMC at weights 0, 1 and large is Koenig on every minor, and I is
@@ -246,7 +255,7 @@ def gr_reduced(source) -> bool:
     """Whether the associated graded ring is reduced: normality of the
     Rees algebra together with integrality of the covering polyhedron."""
     a = as_analysis(source)
-    return normality(a.rees, a.basis)[0] and is_integral_qa(a.clutter.matrix, a.vertices)[0]
+    return normality(a.rees, a.basis)[0] and a.integral
 
 
 @dataclass(frozen=True)
@@ -323,8 +332,7 @@ def conjecture_scan(family) -> ScanReport:
         total += 1
         a = Analysis(c)
         normal = normality(a.rees, a.basis)[0]  # first: its pass fills the facets
-        if not (is_integral_qa(c.matrix, a.vertices)[0]
-                and (normal or packing_property(c, covers=a.covers)[0])):
+        if not (a.integral and (normal or packing_property(c, covers=a.covers)[0])):
             continue
         packing_true += 1
         if normal:

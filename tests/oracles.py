@@ -240,6 +240,23 @@ def brute_antichains(n, max_edges):
     return sorted(found)
 
 
+def combination_clutters(max_vertices, max_edges):
+    """Every clutter on 1..max_vertices vertices with at most max_edges
+    edges, by filtering all itertools.combinations of non-empty subsets:
+    the order enumerate_clutters keeps, without its cap."""
+    for n in range(1, max_vertices + 1):
+        subsets = [tuple(e) for k in range(1, n + 1)
+                   for e in itertools.combinations(range(n), k)]
+        for count in range(1, min(max_edges, len(subsets)) + 1):
+            for family in itertools.combinations(subsets, count):
+                sets = [set(e) for e in family]
+                if any(a <= b for a, b in itertools.permutations(sets, 2)):
+                    continue
+                if set().union(*sets) != set(range(n)):
+                    continue
+                yield clutter_from_edges(n, family)
+
+
 # ---------------------------------------------------------------- monoids
 
 

@@ -32,6 +32,7 @@ from oracles import (
     brute_antichains,
     brute_beta1,
     brute_minimal_covers,
+    combination_clutters,
 )
 
 REFERENCE_ROWS = [
@@ -320,6 +321,15 @@ def test_enumerate_clutters_matches_antichain_count():
         got = sorted(
             tuple(sorted(c.edges)) for c in enumerate_clutters(n, q) if c.n == n)
         assert got == brute_antichains(n, q)
+
+
+@pytest.mark.parametrize("bounds", [(1, 4), (2, 2), (3, 3), (3, 10 ** 9), (4, 4),
+                                    (5, 3), (5, 4)])
+def test_enumeration_matches_the_combinations_walk(bounds):
+    # the antichain walk yields what filtering every combination of
+    # subsets yields, in the same order
+    assert ([(c.n, c.edges) for c in enumerate_clutters(*bounds)]
+            == [(c.n, c.edges) for c in combination_clutters(*bounds)])
 
 
 def test_enumeration_is_capped():

@@ -11,7 +11,8 @@ from mfmckit.cli import main
 from mfmckit.clutters import (
     MinorSpec, clutter_from_edges, covering_number, enumerate_clutters,
     matching_number, packing_property)
-from mfmckit.cones import qa_vertices_direct, support_hyperplanes
+from mfmckit.cones import (
+    FacetClassification, is_integral_qa, qa_vertices_direct, support_hyperplanes)
 from mfmckit.decisions import (
     TDI_BOX_CAP,
     Analysis,
@@ -270,10 +271,12 @@ def test_tdi_demand_box_is_capped(reference_clutter, monkeypatch):
      "parallelepiped enumeration"),
     (hilbert, "SIMPLEX_CAP", 1, lambda fx: hilbert.hilbert_basis(fx("reference_matrix")),
      "placing triangulation"),
+    (cones, "RAY_CAP", 1, lambda fx: cones.support_hyperplanes(fx("reference_matrix")),
+     "double description"),
     (ideals, "ORDINARY_CAP", 1, lambda fx: ideals.ordinary_power(fx("reference_matrix"), 3),
      "ordinary power enumeration"),
 ], ids=["covers", "symbolic", "closure", "matching", "minors", "qa-vertices", "det",
-        "simplices", "ordinary"])
+        "simplices", "rays", "ordinary"])
 def test_each_constant_is_the_cap(request, monkeypatch, module, constant, value, call, stage):
     # assigning a module's named cap changes the cap its check enforces
     monkeypatch.setattr(module, constant, value)
@@ -447,19 +450,20 @@ def test_packing_failures_have_checkable_witness(random100):
 
 # ---------------------------------------------------------------- one Analysis per clutter
 
-# each counted function, by the module that defines it
+# each counted function, by the module or class that defines it
 COUNTED = {"ordinary_power": ideals, "symbolic_power": ideals,
            "closure_power": ideals, "qa_vertices_direct": cones,
            "support_hyperplanes": cones, "hilbert_basis": hilbert,
            "rees_cone": cones, "_dd_steps": cones,
+           "qa_vertices": FacetClassification,
            "minimal_vertex_covers": clutters, "minor": clutters,
            "matching_number": clutters, "semigroup_member": hilbert,
            "packing_property": clutters, "_disjoint_edges": clutters}
 
 
 def count_calls(monkeypatch) -> Counter:
-    """Count calls of the counted functions made through any mfmckit
-    module attribute that refers to them."""
+    """Count calls of the counted functions made through their class or
+    any mfmckit module attribute that refers to them."""
     calls = Counter()
     modules = [m for name, m in sys.modules.items()
                if name == "mfmckit" or name.startswith("mfmckit.")]
@@ -469,9 +473,9 @@ def count_calls(monkeypatch) -> Counter:
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
-        for mod in modules:
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
+        for owner in [*modules, home]:
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -484,12 +488,13 @@ def test_analyze_computes_each_object_once(monkeypatch, text, search):
     calls = count_calls(monkeypatch)
     analyze(doc, i_max=3, tdi_bound=2)
     # one Rees cone and one double description pass give the basis and the
-    # facets; basic-solution vertices run once, as the cross-check of the
-    # facet route; neither the membership search nor the full matching
+    # facets; the vertices are read off the facets once, and basic-solution
+    # vertices run once, as the cross-check of the facet route; neither the membership search nor the full matching
     # search runs; C5 fails Koenig, so its packing witness needs no minor
     # walk, and the reference example has MFMC, so it runs no search at all
     assert calls == {"ordinary_power": 3, "symbolic_power": 3, "closure_power": 3,
-                     "qa_vertices_direct": 1, "rees_cone": 1, "_dd_steps": 1,
+                     "qa_vertices_direct": 1, "qa_vertices": 1, "rees_cone": 1,
+                     "_dd_steps": 1,
                      "minimal_vertex_covers": 1, **search}
 
 
@@ -576,17 +581,42 @@ def test_analysis_reads_basis_and_facets_off_one_pass(monkeypatch, random100,
 
 def test_scan_makes_one_pass_per_clutter(monkeypatch):
     # every 4x4 clutter is either fractional or integral and normal, so
-    # packing comes off the one pass and no cover or minor search runs
+    # packing comes off the one pass and no cover or minor search runs;
+    # integrality comes off the vertex-facet lifts, so no vertex is built
     calls = count_calls(monkeypatch)
     report = conjecture_scan(enumerate_clutters(4, 4))
     assert report == ScanReport(119, 75, 75, (), 34, 34, ())
     assert calls["_dd_steps"] == calls["rees_cone"] == 119
     assert calls["packing_property"] == calls["minimal_vertex_covers"] == 0
+    assert calls["qa_vertices"] == calls["qa_vertices_direct"] == 0
+
+
+@pytest.mark.parametrize("bounds, fractional", [
+    ((1, 4), 0), ((2, 2), 0), ((3, 3), 1), ((3, 10 ** 9), 1), ((4, 4), 44),
+    ((5, 3), 328), ((5, 4), 1804), (None, 32)],
+    ids=["1x4", "2x2", "3x3", "3xall", "4x4", "5x3", "5x4", "random100"])
+def test_integrality_by_lift_matches_the_vertex_denominators(bounds, fractional,
+                                                               random100):
+    # a vertex normal's lift is -1 exactly when its vertex is integral; the
+    # denominators of the basic-solution vertices are the oracle
+    family = random100 if bounds is None else list(enumerate_clutters(*bounds))
+    lifted = [Analysis(c).integral for c in family]
+    assert lifted == [is_integral_qa(c.matrix, qa_vertices_direct(c.matrix).vertices)[0]
+                      for c in family]
+    assert lifted.count(False) == fractional
+
+
+def test_mfmc_integral_witness_is_the_least_fractional_vertex(random100):
+    for c in [*random100, *enumerate_clutters(4, 4)]:
+        v = decide_mfmc(c, i_max=2)
+        assert (v.integral, v.witnesses.get("integral")) == is_integral_qa(
+            c.matrix, qa_vertices_direct(c.matrix).vertices)
 
 
 def test_searches_leave_no_reference_cycles(triangle, monkeypatch):
-    # the recursive searches drop their self-referencing closures on return,
-    # so nothing waits for the cyclic collector, also when a cap stops them
+    # the recursive searches and the clutter walk drop their self-referencing
+    # closures on return, so nothing waits for the cyclic collector, also when
+    # a cap stops them or the walk is closed early
     c5 = clutter_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     gc.collect()
     gc.disable()
@@ -604,6 +634,12 @@ def test_searches_leave_no_reference_cycles(triangle, monkeypatch):
             matching_number(c5)
         assert gc.collect() == 0
         assert semigroup_member(triangle.matrix, (1, 1, 1, 1))
+        assert gc.collect() == 0
+        assert sum(1 for _ in enumerate_clutters(4, 4)) == 119
+        assert gc.collect() == 0
+        walk = enumerate_clutters(4, 4)
+        assert next(walk).edges == ((0,),)
+        walk.close()
         assert gc.collect() == 0
     finally:
         gc.enable()
