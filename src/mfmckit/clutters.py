@@ -317,10 +317,13 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
         subsets = [e for k in range(1, n + 1) for e in itertools.combinations(range(n), k)]
         masks = [sum(1 << i for i in e) for e in subsets]
         full = (1 << n) - 1
-        # later[i]: the later subsets incomparable with subset i, as a bitmask
-        later = [sum(1 << j for j in range(i + 1, len(masks))
-                     if a & masks[j] not in (a, masks[j]))
-                 for i, a in enumerate(masks)]
+        top = min(max_edges, len(subsets))
+        # later[i]: the later subsets incomparable with subset i, as a bitmask;
+        # built only for pairs, whose C(2^n - 1, 2) candidates the cap counts
+        later = ([sum(1 << j for j in range(i + 1, len(masks))
+                      if a & masks[j] not in (a, masks[j]))
+                  for i, a in enumerate(masks)]
+                 if top >= 2 else [0] * len(masks))
 
         def extend(chosen, free, union, left):
             # free: the subsets that may still join chosen, as a bitmask; a
@@ -337,8 +340,10 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
                                   union | masks[i], left - 1)
 
         try:
-            for count in range(1, min(max_edges, len(subsets)) + 1):
-                for family in extend((), (1 << len(subsets)) - 1, 0, count):
-                    yield clutter_from_edges(n, family)
+            for count in range(1, top + 1):
+                # the first edge by index, so no bitmask of all subsets is built
+                for i in range(len(subsets) - count + 1):
+                    for family in extend((subsets[i],), later[i], masks[i], count - 1):
+                        yield clutter_from_edges(n, family)
         finally:
             del extend  # extend refers to itself: break the cycle now, not at collection

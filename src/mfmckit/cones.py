@@ -55,8 +55,8 @@ def _dd_steps(constraints, dim):
     of {y : <y, c> >= 0}.  After each one, yield whether it raised the
     span of those so far, the ([vector, zero-set], <vector, c>) pairs of
     the rays it cut off, and the current [vector, zero-set] rays and
-    lineality basis (live lists).  RAY_CAP bounds the rays after each
-    step."""
+    lineality basis (live lists).  RAY_CAP bounds the rays, checked as
+    each new ray is made and after each step."""
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []  # [vector, zero-set bitmask]
     for idx, c in enumerate(constraints):
@@ -114,6 +114,8 @@ def _dd_steps(constraints, dim):
                         continue
                     w = primitive(tuple(pp * b - pn * a for a, b in zip(rp[0], rn[0])))
                     survivors.append([w, meet | bit])
+                    if len(survivors) > RAY_CAP:
+                        raise SizeLimit("double description", len(survivors), RAY_CAP)
             rays, raised = survivors, False
         if len(rays) > RAY_CAP:
             raise SizeLimit("double description", len(rays), RAY_CAP)

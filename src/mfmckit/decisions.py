@@ -215,11 +215,9 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     require_i_max(i_max)
     a = as_analysis(source)
     c = a.clutter
-    # {fact: (holds, witness)} in Verdict field order; a fact set again keeps its place;
-    # the vertices are read only for a fractional clutter's witness
+    # {fact: (holds, witness)} in Verdict field order; a fact set again keeps its place
     facts = {"normal": normality(a.rees, a.basis),
-             "integral": ((True, None) if a.integral
-                          else is_integral_qa(c.matrix, a.vertices))}
+             "integral": is_integral_qa(c.matrix, a.vertices)}
     mfmc = facts["normal"][0] and facts["integral"][0]
     smith = smith_invariants(c.matrix)
     # MFMC at weights 0, 1 and large is Koenig on every minor, and I is

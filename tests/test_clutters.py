@@ -324,10 +324,12 @@ def test_enumerate_clutters_matches_antichain_count():
 
 
 @pytest.mark.parametrize("bounds", [(1, 4), (2, 2), (3, 3), (3, 10 ** 9), (4, 4),
-                                    (5, 3), (5, 4)])
+                                    (5, 3), (5, 4), (14, 1)],
+                         ids=["1x4", "2x2", "3x3", "3xall", "4x4", "5x3", "5x4", "14x1"])
 def test_enumeration_matches_the_combinations_walk(bounds):
     # the antichain walk yields what filtering every combination of
-    # subsets yields, in the same order
+    # subsets yields, in the same order; single edges, which the cap admits
+    # up to 18 vertices, build no table of incomparable pairs
     assert ([(c.n, c.edges) for c in enumerate_clutters(*bounds)]
             == [(c.n, c.edges) for c in combination_clutters(*bounds)])
 

@@ -259,6 +259,15 @@ def test_qa_vertices_cap(reference_matrix, monkeypatch):
         qa_vertices_direct(reference_matrix)
 
 
+def test_ray_cap_stops_the_step_that_passes_it(reference_matrix, monkeypatch):
+    # the reference cone's seventh step takes its rays from 6 to 10: the cap
+    # fires at the first ray past it, before the step ends
+    monkeypatch.setattr(cones, "RAY_CAP", 6)
+    with pytest.raises(SizeLimit) as exc:
+        support_hyperplanes(reference_matrix)
+    assert (exc.value.stage, exc.value.needed, exc.value.cap) == ("double description", 7, 6)
+
+
 def test_is_integral(reference_matrix, triangle):
     assert is_integral_qa(reference_matrix) == (True, None)
     ok, witness = is_integral_qa(triangle.matrix)
