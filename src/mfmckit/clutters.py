@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial, prod
 from operator import le
 
 from .errors import EmptyEdge, NotAntichain, NotZeroOne, OverlappingSpec, SizeLimit
@@ -18,6 +18,7 @@ from .linalg import _minimal_solutions
 MINOR_CAP = 3 ** 12
 MATCHING_CAP = 2_000_000
 ENUMERATION_CAP = 1_000_000
+RELABEL_CAP = 720
 
 
 def _check_antichain(columns):
@@ -107,6 +108,41 @@ class Clutter:
 
     def edge_labels(self):
         return tuple(tuple(self.labels[i] for i in e) for e in self.edges)
+
+
+def _canonical_key(c: Clutter) -> tuple:
+    """A key that is equal for two clutters exactly when one is a vertex
+    relabelling of the other.
+
+    The smaller side (the vertices if n <= q, else the edges) is ordered
+    by an invariant and relabelled only within blocks of equal invariant:
+    for a vertex, the sorted sizes of its edges; for an edge, the sorted
+    degrees of its vertices.  The key is (n, q) and the least sorted
+    tuple of the other side's bitmasks.  Past RELABEL_CAP relabellings
+    only the given labelling is tried.  Either way the masks give the
+    clutter up to relabelling, so equal keys always mean isomorphic
+    clutters; past the cap, isomorphic copies may get different keys."""
+    cols = c.matrix.columns
+    rows = tuple(zip(*cols))
+    side, other = (rows, cols) if len(rows) <= len(cols) else (cols, rows)
+    sizes = list(map(sum, other))
+    blocks = {}
+    for x, incidence in enumerate(side):
+        blocks.setdefault(tuple(sorted(itertools.compress(sizes, incidence))), []).append(x)
+    order = [blocks[k] for k in sorted(blocks)]
+    if prod(factorial(len(b)) for b in order) > RELABEL_CAP:
+        relabellings = [[range(len(side))]]
+    else:  # product() lists each block's permutations up front
+        relabellings = itertools.product(*map(itertools.permutations, order))
+    powers = [1 << p for p in range(len(side))]
+    bits = [0] * len(side)
+
+    def form(choice):
+        for x, bit in zip(itertools.chain.from_iterable(choice), powers):
+            bits[x] = bit
+        return tuple(sorted([sum(itertools.compress(bits, incidence)) for incidence in other]))
+
+    return len(rows), len(cols), min(map(form, relabellings))
 
 
 def validate(grid, labels=None) -> Clutter:

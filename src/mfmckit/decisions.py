@@ -22,6 +22,7 @@ from .clutters import (
     Clutter,
     MINOR_CAP,
     MinorSpec,
+    _canonical_key,
     _disjoint_edges,
     minimal_vertex_covers,
     packing_property,
@@ -316,6 +317,18 @@ class ScanReport:
         return not self.reduced_counterexamples and not self.torsion_counterexamples
 
 
+def _scan_facts(c: Clutter) -> tuple:
+    """(packing, normal, uniform, torsion_free) of one clutter; uniform
+    and torsion_free are read only for a packing clutter."""
+    a = Analysis(c)
+    normal = normality(a.rees, a.basis)[0]  # first: its pass fills the facets
+    if not (a.integral and (normal or packing_property(c, covers=a.covers)[0])):
+        return False, normal, False, False
+    weights = {sum(col) for col in c.matrix.columns}
+    uniform = len(weights) == 1 and weights.pop() >= 2
+    return True, normal, uniform, uniform and smith_invariants(c.matrix).torsion_free
+
+
 def conjecture_scan(family) -> ScanReport:
     """Bounded evidence scan over a family of clutters: packing clutters
     are tested for a reduced associated graded ring, and those with
@@ -323,24 +336,29 @@ def conjecture_scan(family) -> ScanReport:
     are collected, never hidden.  Packing forces integral vertices
     (Lehman), and an integral normal clutter has MFMC, so it is packing
     and reduced; the minor walk runs only on an integral clutter that is
-    not normal, a counterexample exactly when it is packing."""
-    total = packing_true = reduced_ok = uniform = torsion_ok = 0
+    not normal, a counterexample exactly when it is packing.  Each fact
+    is invariant under relabelling the vertices, so it is computed once
+    per isomorphism class; every labelled clutter still counts and is
+    listed."""
+    total = packing_true = reduced_ok = uniform_tested = torsion_ok = 0
     bad_reduced, bad_torsion = [], []
+    known = {}
     for c in family:
         total += 1
-        a = Analysis(c)
-        normal = normality(a.rees, a.basis)[0]  # first: its pass fills the facets
-        if not (a.integral and (normal or packing_property(c, covers=a.covers)[0])):
+        key = _canonical_key(c)
+        if key not in known:
+            known[key] = _scan_facts(c)
+        packing, normal, uniform, torsion_free = known[key]
+        if not packing:
             continue
         packing_true += 1
         if normal:
             reduced_ok += 1
         else:
             bad_reduced.append(c)
-        weights = {sum(col) for col in c.matrix.columns}
-        if len(weights) == 1 and weights.pop() >= 2:
-            uniform += 1
-            if smith_invariants(c.matrix).torsion_free:
+        if uniform:
+            uniform_tested += 1
+            if torsion_free:
                 torsion_ok += 1
             else:
                 bad_torsion.append(c)
@@ -349,7 +367,7 @@ def conjecture_scan(family) -> ScanReport:
         packing_true,
         reduced_ok,
         tuple(bad_reduced),
-        uniform,
+        uniform_tested,
         torsion_ok,
         tuple(bad_torsion),
     )

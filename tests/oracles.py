@@ -257,6 +257,20 @@ def combination_clutters(max_vertices, max_edges):
                 yield clutter_from_edges(n, family)
 
 
+def brute_canonical_form(c):
+    """n and the least sorted tuple of edge bitmasks over all n! vertex
+    relabellings: equal exactly for isomorphic clutters."""
+    return c.n, min(tuple(sorted(sum(1 << p[v] for v in e) for e in c.edges))
+                    for p in itertools.permutations(range(c.n)))
+
+
+def relabelled(c, rng):
+    """A copy of c with its vertices relabelled by a random permutation."""
+    p = list(range(c.n))
+    rng.shuffle(p)
+    return clutter_from_edges(c.n, [[p[v] for v in e] for e in c.edges])
+
+
 # ---------------------------------------------------------------- monoids
 
 

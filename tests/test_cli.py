@@ -221,32 +221,39 @@ def test_scan_json(capsys):
 
 
 def test_scan_counterexamples(capsys, monkeypatch):
-    # no small clutter is a real counterexample, so two normality checks and
-    # one torsion check are made to fail to pin how counterexamples print
+    # no small clutter is a real counterexample, so normality is made to fail
+    # for two isomorphism classes and torsion-freeness for one, to pin how
+    # counterexamples print; the scan reads each fact once per class, so the
+    # classes are picked by their edge sizes, which relabelling keeps: a
+    # vertex and a disjoint pair, three single vertices, and two pairs
     import mfmckit.decisions as decisions
-    from mfmckit.clutters import clutter_from_edges
     from mfmckit.hilbert import SmithInvariants
-    not_normal = {clutter_from_edges(3, e).matrix
-                  for e in ([(1, 2), (0,)], [(2,), (1,), (0,)])}
-    with_torsion = {clutter_from_edges(3, [(0, 2), (0, 1)]).matrix}
+
+    def sizes(m):
+        return tuple(sorted(map(sum, m.columns)))
     normality, smith = decisions.normality, decisions.smith_invariants
     monkeypatch.setattr(decisions, "normality",
-                        lambda rc, basis: (False, None) if rc.base in not_normal
+                        lambda rc, basis: (False, None)
+                        if sizes(rc.base) in {(1, 2), (1, 1, 1)}
                         else normality(rc, basis))
     monkeypatch.setattr(decisions, "smith_invariants",
                         lambda m: SmithInvariants((1, 2), 2, False)
-                        if m in with_torsion else smith(m))
+                        if sizes(m) == (2, 2) else smith(m))
     argv = ["scan", "--max-vertices", "3", "--max-edges", "3"]
     rc, out, _ = run(capsys, argv)
     assert rc == 0
     assert out == "\n".join([
         "scanned 12 clutters (up to 3 vertices, 3 edges)",
         "packing property holds: 11",
-        "reduced associated graded ring: 9 confirmed, 2 counterexamples",
-        "uniform edge size >= 2: 5 tested, 4 torsion-free, 1 counterexamples",
+        "reduced associated graded ring: 7 confirmed, 4 counterexamples",
+        "uniform edge size >= 2: 5 tested, 2 torsion-free, 3 counterexamples",
         "COUNTEREXAMPLE (reduced): (('x2', 'x3'), ('x1',))",
+        "COUNTEREXAMPLE (reduced): (('x2',), ('x1', 'x3'))",
+        "COUNTEREXAMPLE (reduced): (('x3',), ('x1', 'x2'))",
         "COUNTEREXAMPLE (reduced): (('x3',), ('x2',), ('x1',))",
         "COUNTEREXAMPLE (torsion): (('x1', 'x3'), ('x1', 'x2'))",
+        "COUNTEREXAMPLE (torsion): (('x2', 'x3'), ('x1', 'x2'))",
+        "COUNTEREXAMPLE (torsion): (('x2', 'x3'), ('x1', 'x3'))",
         "bounded evidence only; the underlying conjectures stay open",
     ]) + "\n"
     rc, out, _ = run(capsys, argv + ["--format", "json"])
@@ -254,10 +261,12 @@ def test_scan_counterexamples(capsys, monkeypatch):
     assert out == json.dumps({
         "note": "bounded evidence only; the underlying conjectures stay open",
         "packing_true": 11,
-        "reduced_confirmed": 9,
-        "reduced_counterexamples": [[[1, 2], [0]], [[2], [1], [0]]],
-        "torsion_counterexamples": [[[0, 2], [0, 1]]],
-        "torsion_free_confirmed": 4,
+        "reduced_confirmed": 7,
+        "reduced_counterexamples": [[[1, 2], [0]], [[1], [0, 2]], [[2], [0, 1]],
+                                    [[2], [1], [0]]],
+        "torsion_counterexamples": [[[0, 2], [0, 1]], [[1, 2], [0, 1]],
+                                    [[1, 2], [0, 2]]],
+        "torsion_free_confirmed": 2,
         "total": 12,
         "uniform_tested": 5,
     }, indent=2, sort_keys=True) + "\n"

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -6,6 +8,7 @@ from mfmckit import clutters, linalg
 from mfmckit.clutters import (
     Clutter,
     ExponentMatrix,
+    _canonical_key,
     MinorSpec,
     NonMinor,
     all_minors,
@@ -31,8 +34,10 @@ from oracles import (
     brute_alpha0,
     brute_antichains,
     brute_beta1,
+    brute_canonical_form,
     brute_minimal_covers,
     combination_clutters,
+    relabelled,
 )
 
 REFERENCE_ROWS = [
@@ -343,3 +348,42 @@ def test_enumeration_is_capped():
     assert (exc.value.stage, exc.value.needed) == ("clutter enumeration", 76_564_490)
     # more edges than subsets adds no candidates and no empty rounds
     assert sum(1 for _ in enumerate_clutters(3, 10 ** 9)) == 12
+
+
+# ---------------------------------------------------------------- isomorphism
+
+
+@pytest.mark.parametrize("bounds", [(4, 4), (5, 3), None], ids=["4x4", "5x3", "random100"])
+def test_canonical_keys_match_the_relabelling_oracle(bounds, random100):
+    # keys are equal exactly when the least edge masks over all n!
+    # relabellings are: the pairs (key, form) pair off the classes one to one
+    if bounds is None:
+        rng = random.Random(21)
+        family = [*random100, *(relabelled(c, rng) for c in random100)]
+    else:
+        family = list(enumerate_clutters(*bounds))
+    keys = [_canonical_key(c) for c in family]
+    forms = [brute_canonical_form(c) for c in family]
+    classes = len(set(forms))
+    assert len(set(keys)) == len(set(zip(keys, forms))) == classes < len(family)
+
+
+def test_canonical_keys_count_the_isomorphism_classes(monkeypatch):
+    # OEIS A003182 less its two trivial antichains: 1, 2, 5, 20 and 180
+    # classes of clutters on exactly 1..5 vertices
+    monkeypatch.setattr(clutters, "ENUMERATION_CAP", 2 ** 32)
+    keys = {_canonical_key(c) for c in enumerate_clutters(5, 31)}
+    assert Counter(n for n, _, _ in keys) == {1: 1, 2: 2, 3: 5, 4: 20, 5: 180}
+
+
+def test_canonical_key_past_the_relabel_cap_is_the_labelled_clutter(monkeypatch):
+    # C25 has one block of 25 vertices: no permutation is listed, and the
+    # key holds its own edge masks; under a cap of 1, so do the blocks of C5
+    cycles = {n: clutter_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+              for n in (5, 25)}
+    assert _canonical_key(cycles[25]) == (25, 25, tuple(sorted(cycles[25].edge_masks())))
+    copy = clutter_from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+    assert _canonical_key(copy) == _canonical_key(cycles[5])
+    monkeypatch.setattr(clutters, "RELABEL_CAP", 1)
+    assert [_canonical_key(c) for c in (cycles[5], copy)] == [
+        (5, 5, tuple(sorted(c.edge_masks()))) for c in (cycles[5], copy)]

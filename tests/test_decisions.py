@@ -2,7 +2,7 @@ import gc
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -580,15 +580,76 @@ def test_analysis_reads_basis_and_facets_off_one_pass(monkeypatch, random100,
 
 
 def test_scan_makes_one_pass_per_clutter(monkeypatch):
-    # every 4x4 clutter is either fractional or integral and normal, so
-    # packing comes off the one pass and no cover or minor search runs;
-    # integrality comes off the vertex-facet lifts, so no vertex is built
+    # every 4x4 and 5x3 clutter is either fractional or integral and normal,
+    # so packing comes off the one pass and no cover or minor search runs;
+    # integrality comes off the vertex-facet lifts, so no vertex is built;
+    # the facts hold for every relabelling, so one pass serves each
+    # isomorphism class: 26 classes among 119 clutters, 48 among 975
     calls = count_calls(monkeypatch)
-    report = conjecture_scan(enumerate_clutters(4, 4))
-    assert report == ScanReport(119, 75, 75, (), 34, 34, ())
-    assert calls["_dd_steps"] == calls["rees_cone"] == 119
-    assert calls["packing_property"] == calls["minimal_vertex_covers"] == 0
-    assert calls["qa_vertices"] == calls["qa_vertices_direct"] == 0
+    for bounds, report, classes in [
+            ((4, 4), ScanReport(119, 75, 75, (), 34, 34, ()), 26),
+            ((5, 3), ScanReport(975, 647, 647, (), 157, 157, ()), 48)]:
+        assert conjecture_scan(enumerate_clutters(*bounds)) == report
+        assert calls["_dd_steps"] == calls["rees_cone"] == classes
+        assert calls["packing_property"] == calls["minimal_vertex_covers"] == 0
+        assert calls["qa_vertices"] == calls["qa_vertices_direct"] == 0
+        calls.clear()
+
+
+def test_full_five_vertex_scan(monkeypatch):
+    # all 7,020 clutters on at most five vertices, 208 isomorphism classes
+    monkeypatch.setattr(clutters, "ENUMERATION_CAP", 2 ** 32)
+    calls = count_calls(monkeypatch)
+    report = conjecture_scan(enumerate_clutters(5, 31))
+    assert report == ScanReport(7020, 1177, 1177, (), 370, 370, ())
+    assert calls["_dd_steps"] == calls["rees_cone"] == 208
+    assert calls["packing_property"] == 0
+
+
+@pytest.mark.parametrize("bounds", [(4, 4), (5, 3)], ids=["scan4x4", "scan5x3"])
+def test_scan_lists_every_member_of_a_failing_class(monkeypatch, bounds):
+    # a Smith form reporting torsion for every even edge count fails whole
+    # classes; the counterexamples are then every labelled member, in family
+    # order, as a per-clutter loop without the memo lists them
+    family = list(enumerate_clutters(*bounds))
+    smith_calls = []
+
+    def torsion_when_even(m):
+        smith_calls.append(m)
+        return hilbert.SmithInvariants((), 0, m.q % 2 == 1)
+    monkeypatch.setattr(decisions, "smith_invariants", torsion_when_even)
+    facts = [decisions._scan_facts(c) for c in family]
+    uniform = [c for c, (packing, _, uni, _) in zip(family, facts) if packing and uni]
+    bad = tuple(c for c, (packing, _, uni, ok) in zip(family, facts)
+                if packing and uni and not ok)
+    del smith_calls[:]
+    report = conjecture_scan(family)
+    assert report.torsion_counterexamples == bad
+    assert (report.uniform_tested, report.torsion_free_confirmed) == (
+        len(uniform), len(uniform) - len(bad))
+    # one Smith form per class, and some failing class has several members
+    classes = {clutters._canonical_key(c) for c in uniform}
+    assert len(smith_calls) == len(classes) < len(uniform)
+    assert len({clutters._canonical_key(c) for c in bad}) < len(bad)
+
+
+def test_scan_past_the_relabel_cap_analyses_each_copy(monkeypatch):
+    # with RELABEL_CAP = 1 a clutter with a block of two or more vertices
+    # keys on its labelled edges, so its copies each get a pass: the twelve
+    # labelled 5-cycles get twelve, and the 26 classes of 4x4 get 55 instead
+    # of one per class or 119; the report does not change
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    copies = tuple(dict.fromkeys(clutter_from_edges(5, [[p[v] for v in e] for e in c5])
+                                 for p in permutations(range(5))))
+    assert len(copies) == 12
+    expected = {family: conjecture_scan(family)
+                for family in (copies, tuple(enumerate_clutters(4, 4)))}
+    monkeypatch.setattr(clutters, "RELABEL_CAP", 1)
+    calls = count_calls(monkeypatch)
+    for (family, report), passes in zip(expected.items(), (12, 55)):
+        assert conjecture_scan(family) == report
+        assert calls["_dd_steps"] == passes
+        calls.clear()
 
 
 @pytest.mark.parametrize("bounds, fractional", [
