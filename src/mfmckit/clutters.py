@@ -22,12 +22,11 @@ RELABEL_CAP = 720
 
 
 def _check_antichain(columns):
-    # minimal generation: no exponent vector dominates another componentwise
+    # minimal generation: no exponent vector divides another.  The columns
+    # are sorted, and a column that divides another sorts before it
     for a, b in itertools.combinations(columns, 2):
         if all(map(le, a, b)):
             raise NotAntichain(a, b)
-        if all(map(le, b, a)):
-            raise NotAntichain(b, a)
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,9 @@ class ExponentMatrix:
                 raise ValueError(f"negative exponent in {c}")
             if not any(c):
                 raise EmptyEdge(f"zero exponent vector {c}")
+        cols = tuple(sorted(cols))
         _check_antichain(cols)
-        object.__setattr__(self, "columns", tuple(sorted(cols)))
+        object.__setattr__(self, "columns", cols)
 
     @property
     def n(self) -> int:
@@ -151,8 +151,6 @@ def validate(grid, labels=None) -> Clutter:
     Raises NotZeroOne / EmptyEdge / NotAntichain on bad input.
     """
     rows = [tuple(int(x) for x in r) for r in grid]
-    if not rows:
-        raise EmptyEdge("no edges: q = 0")
     for r, row in enumerate(rows):
         for c, x in enumerate(row):
             if x not in (0, 1):
@@ -161,14 +159,13 @@ def validate(grid, labels=None) -> Clutter:
 
 
 def clutter_from_edges(n: int, edges, labels=None) -> Clutter:
-    """Clutter from index-based edge supports over n vertices."""
-    grid = []
-    for e in edges:
-        row = [0] * n
-        for i in e:
-            row[i] = 1
-        grid.append(row)
-    return validate(grid, labels)
+    """Clutter from index-based edge supports over n vertices; a vertex
+    outside range(n) raises ValueError."""
+    supports = [set(e) for e in edges]
+    if outside := set().union(*supports).difference(range(n)):
+        raise ValueError(f"vertices {sorted(outside)} outside range({n})")
+    rows = tuple(tuple([1 if i in e else 0 for i in range(n)]) for e in supports)
+    return Clutter(ExponentMatrix(rows), tuple(labels) if labels else ())
 
 
 @dataclass(frozen=True)
@@ -202,6 +199,8 @@ def minor(c: Clutter, spec: MinorSpec):
     (no edges left).  Duplicate edges collapse; supersets are dropped.
     """
     zeros, ones = set(spec.zeros), set(spec.ones)
+    if outside := (zeros | ones).difference(range(c.n)):
+        raise ValueError(f"minor spec vertices {sorted(outside)} outside range({c.n})")
     kept = [set(e) for e in c.edges if not (set(e) & zeros)]
     if not kept:
         return NonMinor("zero")

@@ -46,7 +46,7 @@ def _placing_triangulation(gens, dim):
         if raised:
             volumes = {s | bit: vol for s, vol in volumes.items()}
         elif lin:
-            raise ValueError("placing step inside a proper subspace")
+            raise InconsistencyError("placing step inside a proper subspace")
         else:
             grown = {}
             for (v, z), p in cut:

@@ -61,14 +61,13 @@ def _natural_key(name: str):
 
 
 def _parse_normaliz(lines) -> InputDocument:
-    stream = [(no, ln.split()) for no, ln in lines if ln.split()]
+    stream = [(no, ln.split()) for no, ln in lines]
     pos = 0
 
     def take_int_line(what):
         nonlocal pos
         if pos >= len(stream):
-            last = stream[-1][0] if stream else 1
-            raise DimensionMismatch(last, f"missing {what}")
+            raise DimensionMismatch(stream[-1][0], f"missing {what}")
         no, toks = stream[pos]
         if len(toks) != 1 or not re.fullmatch(r"-?\d+", toks[0]):
             raise ParseError(no, f"expected a single integer ({what})")
@@ -108,10 +107,7 @@ def _parse_normaliz(lines) -> InputDocument:
 def _parse_native(lines) -> InputDocument:
     edges = []
     for no, ln in lines:
-        text = ln.strip()
-        if not text or text.startswith("#"):
-            continue
-        text = text.rstrip(";").strip()
+        text = ln.strip().rstrip(";").strip()
         toks = text.split()
         if not toks:
             raise ParseError(no, "';' without a directive")
@@ -126,18 +122,9 @@ def _parse_native(lines) -> InputDocument:
         if len(toks) == 1:
             raise ParseError(no, "edge without vertices")
         edges.append(tuple(toks[1:]))
-    if not edges:
-        raise ParseError(1, "no edges given")
     names = sorted({v for e in edges for v in e}, key=_natural_key)
-    index = {v: i for i, v in enumerate(names)}
-    rows = []
-    for e in edges:
-        row = [0] * len(names)
-        for v in e:
-            row[index[v]] = 1
-        rows.append(tuple(row))
-    return InputDocument(ExponentMatrix(tuple(rows)), tuple(names),
-                         REES_MODE, "native")
+    rows = tuple(tuple(int(v in e) for v in names) for e in edges)
+    return InputDocument(ExponentMatrix(rows), tuple(names), REES_MODE, "native")
 
 
 def parse_input(text: str) -> InputDocument:

@@ -22,6 +22,7 @@ from mfmckit.clutters import (
     packing_property,
     validate,
 )
+from mfmckit.reporting import parse_input
 from mfmckit.errors import (
     EmptyEdge,
     NotAntichain,
@@ -80,6 +81,39 @@ def test_validate_rejects_empty_edge():
         validate([[1, 0], [0, 0]])
     with pytest.raises(EmptyEdge):
         validate([])
+
+
+def test_validate_of_no_rows_is_the_matrix_empty_check():
+    with pytest.raises(EmptyEdge, match="^no generators: q = 0$"):
+        validate([])
+
+
+@pytest.mark.parametrize("edges", [[(-1,)], [(3,)], [(-1,), (0, 1)], [(0, 1), (1, 3)]])
+def test_clutter_from_edges_rejects_a_vertex_outside_the_range(edges):
+    with pytest.raises(ValueError, match=r"outside range\(3\)"):
+        clutter_from_edges(3, edges)
+
+
+def test_antichain_check_matches_the_pairwise_oracle():
+    # every family of three non-zero columns in {0,1,2}^2, duplicates
+    # included: sorted, one direction finds a divisibility if any pair has one
+    vectors = [v for v in itertools.product(range(3), repeat=2) if any(v)]
+    for cols in itertools.product(vectors, repeat=3):
+        pairs = [(a, b) for a, b in itertools.permutations(cols, 2)
+                 if all(x <= y for x, y in zip(a, b))]
+        if not pairs:
+            assert sorted(ExponentMatrix(cols).columns) == sorted(cols)
+            continue
+        with pytest.raises(NotAntichain) as err:
+            ExponentMatrix(cols)
+        assert (err.value.smaller, err.value.larger) in pairs
+
+
+def test_a_single_dominating_pair_is_named_in_every_input_order():
+    for rows in itertools.permutations([(1, 1, 0), (1, 0, 0), (0, 0, 1)]):
+        with pytest.raises(NotAntichain) as err:
+            validate(rows)
+        assert (err.value.smaller, err.value.larger) == ((1, 0, 0), (1, 1, 0))
 
 
 def test_exponent_matrix_properties(reference_matrix):
@@ -143,6 +177,31 @@ def test_minor_zero_ideal(single_edge):
 def test_minor_identity(reference_clutter, triangle, single_edge):
     for c in (reference_clutter, triangle, single_edge):
         assert minor(c, MinorSpec((), ())) == c
+
+
+def test_minor_rejects_a_spec_outside_the_vertices(reference_clutter):
+    for spec in (MinorSpec((9,), (7,)), MinorSpec((5,), ()), MinorSpec((), (-1,))):
+        with pytest.raises(ValueError, match=r"outside range\(5\)"):
+            minor(reference_clutter, spec)
+
+
+@pytest.mark.parametrize("bounds", [(4, 4), (5, 3), None], ids=["4x4", "5x3", "random100"])
+def test_every_construction_path_gives_the_same_clutter(bounds, random100):
+    family = random100 if bounds is None else list(enumerate_clutters(*bounds))
+    parsed = 0
+    for c in family:
+        paths = [clutter_from_edges(c.n, c.edges, c.labels),
+                 validate(c.matrix.columns, c.labels),
+                 minor(c, MinorSpec((), ()))]
+        if set().union(*c.edges) == set(range(c.n)):
+            text = "".join("edge " + " ".join(f"x{i + 1}" for i in e) + "\n"
+                           for e in c.edges)
+            paths.append(parse_input(text).clutter())
+            parsed += 1
+        for other in paths:
+            assert other == c and hash(other) == hash(c)
+    # the walk leaves no vertex isolated; random100 may
+    assert parsed == len(family) or bounds is None and parsed > 0
 
 
 def test_all_minors_single_edge(single_edge):

@@ -81,10 +81,14 @@ def test_triangulation_matches_the_oracle_on_general_matrices():
 
 
 def test_placing_step_inside_a_proper_subspace():
-    # (1,1,0) lies in the span of the first two, which is not yet all of Q^3
-    gens = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
-    with pytest.raises(ValueError, match="placing step inside a proper subspace"):
-        _placing_triangulation(gens, 3)
+    # (1,1,0) lies in the span of the first two, which is not yet all of
+    # Q^3; a Rees cone's first n+1 insertions span the space, so this is
+    # an internal invariant
+    for gens in ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)],
+                 [(1, 0, 0), (0, 1, 0), (1, 1, 0)]):
+        with pytest.raises(InconsistencyError,
+                           match="placing step inside a proper subspace"):
+            _placing_triangulation(gens, 3)
 
 
 def test_hilbert_basis_makes_one_dd_pass(monkeypatch, random100):

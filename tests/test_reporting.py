@@ -4,7 +4,8 @@ from dataclasses import fields
 import pytest
 
 from mfmckit.decisions import Verdict
-from mfmckit.errors import DimensionMismatch, NotZeroOne, ParseError, UnsupportedMode
+from mfmckit.errors import (
+    DimensionMismatch, NotAntichain, NotZeroOne, ParseError, UnsupportedMode)
 from mfmckit.reporting import (
     WITNESSES,
     analyze,
@@ -90,6 +91,21 @@ def test_parse_native(triangle):
     assert doc.labels == ("a", "b", "c")
     assert doc.matrix == triangle.matrix
     assert doc.source_format == "native"
+
+
+def test_parse_native_tolerates_comments_blanks_and_semicolons(triangle):
+    doc = parse_input("edge a b;\n   # indented note\n\nedge b c ;\n\tedge a c;\n")
+    assert doc.labels == ("a", "b", "c")
+    assert doc.matrix == triangle.matrix
+    assert doc.clutter().edges == triangle.edges
+
+
+def test_parse_names_the_first_dominating_pair_in_sorted_order():
+    # three dominating pairs; the sorted columns name (0,0,1) | (0,1,1) first
+    with pytest.raises(NotAntichain) as err:
+        parse_input("3\n3\n1 1 1\n0 1 1\n0 0 1\n3\n")
+    assert (err.value.smaller, err.value.larger) == ((0, 0, 1), (0, 1, 1))
+    assert str(err.value) == "generator (0, 0, 1) divides generator (0, 1, 1)"
 
 
 def test_parse_native_natural_label_order():
