@@ -79,11 +79,6 @@ def test_validate_rejects_entry_above_one():
 def test_validate_rejects_empty_edge():
     with pytest.raises(EmptyEdge):
         validate([[1, 0], [0, 0]])
-    with pytest.raises(EmptyEdge):
-        validate([])
-
-
-def test_validate_of_no_rows_is_the_matrix_empty_check():
     with pytest.raises(EmptyEdge, match="^no generators: q = 0$"):
         validate([])
 
