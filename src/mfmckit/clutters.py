@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial, prod
-from operator import le
+from operator import index, le
 
 from .errors import EmptyEdge, NotAntichain, NotZeroOne, OverlappingSpec, SizeLimit
 from .linalg import _minimal_solutions
@@ -36,7 +36,7 @@ class ExponentMatrix:
     columns: tuple
 
     def __post_init__(self):
-        cols = tuple(tuple(int(x) for x in c) for c in self.columns)
+        cols = tuple(tuple(map(index, c)) for c in self.columns)
         if not cols:
             raise EmptyEdge("no generators: q = 0")
         width = len(cols[0])
@@ -84,6 +84,9 @@ class Clutter:
         labels = self.labels or tuple(f"x{i + 1}" for i in range(self.matrix.n))
         if len(labels) != self.matrix.n:
             raise ValueError("label count differs from vertex count")
+        if len(set(labels)) < len(labels):
+            repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+            raise ValueError(f"repeated vertex label {repeated!r}")
         object.__setattr__(self, "labels", tuple(labels))
 
     @property
@@ -148,9 +151,10 @@ def _canonical_key(c: Clutter) -> tuple:
 def validate(grid, labels=None) -> Clutter:
     """Build a Clutter from a raw integer grid (one row per edge).
 
-    Raises NotZeroOne / EmptyEdge / NotAntichain on bad input.
+    Raises NotZeroOne / EmptyEdge / NotAntichain on bad input, and
+    TypeError on an entry that is not an integer.
     """
-    rows = [tuple(int(x) for x in r) for r in grid]
+    rows = [tuple(map(index, r)) for r in grid]
     for r, row in enumerate(rows):
         for c, x in enumerate(row):
             if x not in (0, 1):
@@ -272,24 +276,21 @@ def _disjoint_edges(masks, target: int) -> int:
     """Most pairwise-disjoint masks, by exhaustion; stops once target are
     found.  MATCHING_CAP counts the search nodes."""
     best = nodes = 0
-
-    def rec(i, used, count):
-        nonlocal best, nodes
+    # pending nodes (next mask, union taken, count taken); taking masks[i] first
+    stack = [(0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, used, count = pop()
         nodes += 1
         if nodes > MATCHING_CAP:
             raise SizeLimit("matching search", nodes, MATCHING_CAP)
         if count > best:
             best = count
         if best >= target or i == len(masks) or count + len(masks) - i <= best:
-            return
+            continue
+        push((i + 1, used, count))
         if not (masks[i] & used):
-            rec(i + 1, used | masks[i], count + 1)
-        rec(i + 1, used, count)
-
-    try:
-        rec(0, 0, 0)
-    finally:
-        del rec  # rec refers to itself: break the cycle now, not at collection
+            push((i + 1, used | masks[i], count + 1))
     return best
 
 
@@ -360,25 +361,22 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
                   for i, a in enumerate(masks)]
                  if top >= 2 else [0] * len(masks))
 
-        def extend(chosen, free, union, left):
-            # free: the subsets that may still join chosen, as a bitmask; a
-            # branch with fewer than left of them yields nothing
-            if not left:
-                if union == full:
-                    yield chosen
-                return
-            while free.bit_count() >= left:
-                low = free & -free
-                free ^= low
-                i = low.bit_length() - 1
-                yield from extend(chosen + (subsets[i],), free & later[i],
-                                  union | masks[i], left - 1)
-
-        try:
-            for count in range(1, top + 1):
-                # the first edge by index, so no bitmask of all subsets is built
-                for i in range(len(subsets) - count + 1):
-                    for family in extend((subsets[i],), later[i], masks[i], count - 1):
-                        yield clutter_from_edges(n, family)
-        finally:
-            del extend  # extend refers to itself: break the cycle now, not at collection
+        for count in range(1, top + 1):
+            # the first edge by index, so no bitmask of all subsets is built
+            for i in range(len(subsets) - count + 1):
+                # pending nodes (chosen, free, union, left), free the bitmask of the
+                # subsets that may still join chosen; a node is pushed back less its
+                # least free subset, under the branch that takes that subset
+                stack = [((subsets[i],), later[i], masks[i], count - 1)]
+                while stack:
+                    chosen, free, union, left = stack.pop()
+                    if not left:
+                        if union == full:
+                            yield clutter_from_edges(n, chosen)
+                    elif free.bit_count() >= left:
+                        low = free & -free
+                        free ^= low
+                        j = low.bit_length() - 1
+                        stack.append((chosen, free, union, left))
+                        stack.append((chosen + (subsets[j],), free & later[j],
+                                      union | masks[j], left - 1))

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from operator import index
 
 from .errors import ClassificationError, SizeLimit, ZeroCone
 from .linalg import _scaled_solve, dot, primitive
@@ -34,7 +35,7 @@ class RationalCone:
     def __post_init__(self):
         gens = []
         for g in self.generators:
-            g = tuple(int(x) for x in g)
+            g = tuple(map(index, g))
             if len(g) != self.dim:
                 raise ValueError(f"generator {g} has wrong dimension")
             if any(g):

@@ -156,27 +156,21 @@ def semigroup_member(m, z) -> bool:
     if b < 0 or any(x < 0 for x in a):
         return False
     cols = m.columns
-
-    def rec(j, left, room):
-        if left == 0:
+    # pending nodes (next column, generators left, room); larger multiples first
+    stack = [(0, b, tuple(a))]
+    while stack:
+        j, left, room = stack.pop()
+        if not left:
             return True
-        if j == len(cols):
-            return False
-        v = cols[j]
-        top = left
-        for vi, ri in zip(v, room):
-            if vi:
-                top = min(top, ri // vi)
-        for k in range(top, -1, -1):
-            nxt = tuple(r - k * vi for r, vi in zip(room, v)) if k else room
-            if rec(j + 1, left - k, nxt):
-                return True
-        return False
-
-    try:
-        return rec(0, b, tuple(a))
-    finally:
-        del rec  # rec refers to itself: break the cycle now, not at collection
+        if j < len(cols):
+            v = cols[j]
+            top = left
+            for vi, ri in zip(v, room):
+                if vi:
+                    top = min(top, ri // vi)
+            stack.extend((j + 1, left - k, tuple(r - k * vi for r, vi in zip(room, v)))
+                         for k in range(top + 1))
+    return False
 
 
 def normality(rc, basis):

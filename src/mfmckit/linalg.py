@@ -123,9 +123,9 @@ def _minimal_solutions(rows, n: int, bound: int, stage: str):
     """Minimal points of {a in {0..bound}^n : <alpha, a> >= r for every
     row (alpha, r)}, alpha >= 0, in lexicographic order.
 
-    Depth first over the coordinates.  a is minimal exactly when each
-    a_k > 0 is critical: some row with alpha_k > 0 has slack below
-    alpha_k.  Slacks only grow, so a branch, and the loop over larger a_k,
+    Depth first over the coordinates, as a loop.  a is minimal exactly
+    when each a_k > 0 is critical: some row with alpha_k > 0 has slack
+    below alpha_k.  Slacks only grow, so a branch, and the loop over larger a_k,
     stops once an earlier positive coordinate cannot be critical or a row
     is out of reach; the last coordinate takes its least feasible value.
     SEARCH_CAP counts the nodes, fewer than the box's points."""
@@ -136,10 +136,11 @@ def _minimal_solutions(rows, n: int, bound: int, stage: str):
     tight = [[(j, alpha[k], s) for j, (alpha, r) in enumerate(rows)
               if (s := bound * sum(alpha[k + 1:])) < r] for k in range(n)]
     slack = [-r for _, r in rows]
-    a, out, nodes = [0] * n, [], 0
+    # k: the coordinate being set; placed: the touch lists of the positive ones set
+    a, out, placed, nodes, k, back = [0] * n, [], [], 0, 0, False
 
-    def critical(placed):
-        """Whether each positive coordinate, given by its touch list, is still critical."""
+    def critical():
+        """Whether each placed coordinate is still critical."""
         for col in placed:
             for j, w in col:
                 if slack[j] < w:
@@ -148,42 +149,43 @@ def _minimal_solutions(rows, n: int, bound: int, stage: str):
                 return False
         return True
 
-    def visit(k, placed):
-        nonlocal nodes
-        nodes += 1
-        if nodes > SEARCH_CAP:
-            raise SizeLimit(stage, nodes, SEARCH_CAP)
-        v = 0  # the least a_k that keeps every row within reach
-        for j, w, s in tight[k]:
-            if -slack[j] - s > v * w:
-                if not w:
-                    return
-                v = -((slack[j] + s) // w)
-        if v > bound:
-            return
+    while k >= 0:
         col = touch[k]
-        a[k] = v
-        for j, w in col:
-            slack[j] += w * v
-        if k == n - 1:  # v > 0 is critical, since v - 1 leaves a row unmet
-            if critical(placed):
-                out.append(tuple(a))
-        else:
-            inner = placed + [col] if v else placed
-            while critical(inner):
-                visit(k + 1, inner)
-                if v == bound:
-                    break
+        if back:  # the branches below a_k are done: try a_k + 1
+            v = a[k]
+            deeper = v < bound
+            if deeper:
                 v = a[k] = v + 1
-                inner = placed + [col]
                 for j, w in col:
                     slack[j] += w
+                if v == 1:
+                    placed.append(col)
+        else:
+            nodes += 1
+            if nodes > SEARCH_CAP:
+                raise SizeLimit(stage, nodes, SEARCH_CAP)
+            v = 0  # the least a_k that keeps every row within reach
+            for j, w, s in tight[k]:
+                if -slack[j] - s > v * w:  # with w = 0 the row is out of reach
+                    v = -((slack[j] + s) // w) if w else bound + 1
+            if v > bound:
+                k, back = k - 1, True
+                continue
+            a[k] = v
+            for j, w in col:
+                slack[j] += w * v
+            deeper = k < n - 1
+            if not deeper and critical():  # v > 0 is critical, since v - 1 leaves a row unmet
+                out.append(tuple(a))
+            if v:
+                placed.append(col)
+        if deeper and critical():
+            k, back = k + 1, False
+            continue
         for j, w in col:
             slack[j] -= w * v
+        if v:
+            placed.pop()
         a[k] = 0
-
-    try:
-        visit(0, [])
-    finally:
-        del visit  # visit refers to itself: break the cycle now, not at collection
+        k, back = k - 1, True
     return tuple(out)

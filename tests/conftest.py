@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mfmckit.clutters import Clutter, ExponentMatrix, clutter_from_edges
+from mfmckit.clutters import Clutter, ExponentMatrix, clutter_from_edges, enumerate_clutters
 
 from oracles import random_clutters
 
@@ -73,3 +73,11 @@ def mixed_pair_matrix():
 @pytest.fixture(scope="session")
 def random100():
     return random_clutters(count=100, seed=20260815, max_n=6, max_q=8)
+
+
+@pytest.fixture(scope="session")
+def search_family(random100):
+    # random100, the 119 clutters of 4x4 and the cycles C3-C11
+    cycles = [clutter_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+              for n in range(3, 12)]
+    return [*random100, *enumerate_clutters(4, 4), *cycles]

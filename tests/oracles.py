@@ -6,6 +6,8 @@ pivoting, subset enumeration instead of double description, cofactor
 determinants instead of integer reduction.  The one exception is the
 placing triangulation, which recomputes every hull from scratch with
 the package's facet_normals instead of reading the incremental pass.
+The recursive searches are the package's earlier forms of its search
+loops, kept to pin the loops' output order and node counts.
 Desk-scale inputs only.
 """
 
@@ -16,6 +18,7 @@ from math import gcd, lcm
 
 from mfmckit.clutters import ExponentMatrix, clutter_from_edges
 from mfmckit.cones import RationalCone, facet_normals
+from mfmckit.errors import SizeLimit
 
 
 # ---------------------------------------------------------------- rationals
@@ -325,6 +328,88 @@ def decomposes(target, elements):
         return False
 
     return rec(tuple(target), 0)
+
+
+# ---------------------------------------------------------------- searches
+
+
+def recursive_minimal_solutions(rows, n, bound, stage, cap):
+    """linalg._minimal_solutions as a recursion, with cap for SEARCH_CAP:
+    one call per node, in the same depth-first order."""
+    touch = [[(j, alpha[k]) for j, (alpha, _) in enumerate(rows) if alpha[k]]
+             for k in range(n)]
+    tight = [[(j, alpha[k], s) for j, (alpha, r) in enumerate(rows)
+              if (s := bound * sum(alpha[k + 1:])) < r] for k in range(n)]
+    slack = [-r for _, r in rows]
+    a, out, nodes = [0] * n, [], 0
+
+    def critical(placed):
+        return all(any(slack[j] < w for j, w in col) for col in placed)
+
+    def visit(k, placed):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise SizeLimit(stage, nodes, cap)
+        v = 0
+        for j, w, s in tight[k]:
+            if -slack[j] - s > v * w:
+                if not w:
+                    return
+                v = -((slack[j] + s) // w)
+        if v > bound:
+            return
+        col = touch[k]
+        a[k] = v
+        for j, w in col:
+            slack[j] += w * v
+        if k == n - 1:
+            if critical(placed):
+                out.append(tuple(a))
+        else:
+            inner = placed + [col] if v else placed
+            while critical(inner):
+                visit(k + 1, inner)
+                if v == bound:
+                    break
+                v = a[k] = v + 1
+                inner = placed + [col]
+                for j, w in col:
+                    slack[j] += w
+        for j, w in col:
+            slack[j] -= w * v
+        a[k] = 0
+
+    visit(0, [])
+    return tuple(out)
+
+
+def search_outcome(search, *args):
+    """What search(*args) returns, or its SizeLimit message."""
+    try:
+        return search(*args)
+    except SizeLimit as e:
+        return str(e)
+
+
+def recursive_disjoint_edges(masks, target, cap):
+    """clutters._disjoint_edges as a recursion, with cap for MATCHING_CAP."""
+    best = nodes = 0
+
+    def rec(i, used, count):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > cap:
+            raise SizeLimit("matching search", nodes, cap)
+        best = max(best, count)
+        if best >= target or i == len(masks) or count + len(masks) - i <= best:
+            return
+        if not (masks[i] & used):
+            rec(i + 1, used | masks[i], count + 1)
+        rec(i + 1, used, count)
+
+    rec(0, 0, 0)
+    return best
 
 
 # ---------------------------------------------------------------- ideals

@@ -38,7 +38,9 @@ from oracles import (
     brute_canonical_form,
     brute_minimal_covers,
     combination_clutters,
+    recursive_disjoint_edges,
     relabelled,
+    search_outcome,
 )
 
 REFERENCE_ROWS = [
@@ -130,6 +132,31 @@ def test_exponent_matrix_rejects_ragged_and_negative():
 def test_clutter_rejects_bad_label_count(reference_matrix):
     with pytest.raises(ValueError):
         Clutter(reference_matrix, labels=("a", "b"))
+
+
+def test_clutter_rejects_repeated_labels(reference_matrix):
+    # two vertices named alike would print two distinct edges the same
+    with pytest.raises(ValueError, match="repeated vertex label 'a'"):
+        Clutter(reference_matrix, labels=("a", "b", "c", "a", "e"))
+    with pytest.raises(ValueError, match="repeated vertex label 'x'"):
+        validate([[1, 0], [0, 1]], labels=("x", "x"))
+    with pytest.raises(ValueError, match="repeated vertex label 'a'"):
+        clutter_from_edges(2, [(0,), (1,)], labels=("a", "a"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: validate([[0.5, 1], [1, 0]]),
+    lambda: validate([["1", 0], [0, 1]]),
+    lambda: ExponentMatrix(((1.9, 0), (0, 2.2))),
+], ids=["validate-float", "validate-str", "matrix-float"])
+def test_non_integer_entries_raise_type_error(make):
+    # entries were truncated by int(): 0.5 read as 0 and 1.9 as 1
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_bool_entries_read_as_zero_one():
+    assert validate([[True, False], [False, True]]).edges == ((1,), (0,))
 
 
 def test_clutter_rejects_exponent_two():
@@ -363,6 +390,23 @@ def test_matching_cap(monkeypatch):
         with pytest.raises(SizeLimit):
             matching_number(c)
     assert matching_number(c) == 4
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 9, clutters.MATCHING_CAP])
+def test_disjoint_edges_match_the_recursive_search(cap, search_family, monkeypatch):
+    # the same best count, or the same SizeLimit message, on every target
+    # up to q + 1
+    monkeypatch.setattr(clutters, "MATCHING_CAP", cap)
+    for c in search_family:
+        masks = c.edge_masks()
+        for target in range(c.q + 2):
+            assert (search_outcome(clutters._disjoint_edges, masks, target)
+                    == search_outcome(recursive_disjoint_edges, masks, target, cap))
+
+
+def test_disjoint_edges_run_past_the_recursion_limit():
+    # 1,200 disjoint masks: one level per mask, deeper than Python's stack
+    assert clutters._disjoint_edges([1 << i for i in range(1200)], 1200) == 1200
 
 
 # ---------------------------------------------------------------- enumeration

@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -317,6 +318,15 @@ def test_semigroup_member_oracle(random100):
         m = c.matrix
         for z in product(range(3), repeat=m.n + 1):
             assert semigroup_member(m, z) == monoid_member(z[:-1], z[-1], m.columns)
+
+
+def test_semigroup_member_runs_past_the_recursion_limit():
+    # one level per column; an ExponentMatrix of 1,200 columns would cost
+    # its O(q^2 n) antichain check, and the search reads only .columns
+    ones = SimpleNamespace(columns=((1,),) * 1200)
+    assert not semigroup_member(ones, (0, 1))
+    last_zero = SimpleNamespace(columns=((1,),) * 1199 + ((0,),))
+    assert semigroup_member(last_zero, (0, 2))
 
 
 # ---------------------------------------------------------------- normality

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfmckit import clutters, ideals, linalg
+from mfmckit.clutters import clutter_from_edges, minimal_vertex_covers
+from mfmckit.ideals import closure_power, symbolic_power
 from mfmckit.linalg import _scaled_solve, dot, primitive, smith_invariant_factors
 
-from oracles import frac_det, frac_solve, snf_by_minors
+from oracles import (
+    frac_det, frac_solve, recursive_minimal_solutions, search_outcome, snf_by_minors)
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -155,3 +159,51 @@ def test_smith_permutation_invariant(rows, rng):
     rng.shuffle(cols)
     permuted = [[r[c] for c in cols] for r in shuffled]
     assert tuple(sorted(smith_invariant_factors(permuted))) == base
+
+
+# ---------------------------------------------------------------- minimal points
+
+
+@pytest.fixture(scope="module")
+def row_systems(search_family):
+    # every system the covers, I^(2), I^(3) and the closures of I^2 and I^3
+    # of the search family hand the kernel
+    systems, kernel = [], linalg._minimal_solutions
+
+    def record(*args):
+        systems.append(args)
+        return kernel(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clutters, "_minimal_solutions", record)
+        patch.setattr(ideals, "_minimal_solutions", record)
+        for c in search_family:
+            covers = minimal_vertex_covers(c)
+            for i in (2, 3):
+                symbolic_power(c, i, covers)
+                closure_power(c.matrix, i)
+    return systems
+
+
+def test_minimal_solutions_match_the_recursive_search(row_systems):
+    # the loop visits the recursion's depth-first tree: the same points in
+    # the same order
+    assert len(row_systems) == 1140
+    for rows, n, bound, stage in row_systems:
+        assert (linalg._minimal_solutions(rows, n, bound, stage)
+                == recursive_minimal_solutions(rows, n, bound, stage, linalg.SEARCH_CAP))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 17, 60])
+def test_minimal_solutions_stop_where_the_recursion_stops(row_systems, cap, monkeypatch):
+    # the same node count, so the same SizeLimit message at every cap
+    monkeypatch.setattr(linalg, "SEARCH_CAP", cap)
+    for system in row_systems:
+        assert (search_outcome(linalg._minimal_solutions, *system)
+                == search_outcome(recursive_minimal_solutions, *system, cap))
+
+
+def test_minimal_solutions_run_past_the_recursion_limit():
+    # one edge over 1,000 vertices: one coordinate per level, deeper than
+    # Python's default stack of 1,000 frames
+    wide = clutter_from_edges(1000, [range(1000)])
+    assert minimal_vertex_covers(wide) == tuple((v,) for v in range(1000))

@@ -93,3 +93,22 @@ def test_decisions_build_the_rees_cone_only_in_analysis():
     in_analysis = sum(builds(node) for node in tree.body
                       if isinstance(node, ast.ClassDef) and node.name == "Analysis")
     assert in_analysis > 0 and builds(tree) == in_analysis
+
+
+def test_no_function_calls_itself():
+    # every search runs as a loop: a self-calling function is bounded by
+    # Python's recursion limit instead of its named cap, and a nested one is
+    # a reference cycle left to the collector.  A call by bare name or
+    # through self counts; super().__init__ is another class's method
+    def callee(call):
+        f = call.func
+        if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self":
+            return f.attr
+        return getattr(f, "id", None)
+    found = [f"{path.name}:{node.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.FunctionDef)
+             and any(isinstance(call, ast.Call) and callee(call) == node.name
+                     for call in ast.walk(node))]
+    assert SOURCES and found == []
