@@ -58,6 +58,13 @@ def test_dualize_two_dim_wedge():
     assert dual.generators == ((0, 1), (1, -1))
 
 
+def test_rational_cone_rejects_non_integer_generators():
+    # int() read (0.5, 1) as (0, 1); True still reads as 1
+    with pytest.raises(TypeError):
+        RationalCone(2, ((0.5, 1),))
+    assert RationalCone(2, ((True, 2),)).generators == ((1, 2),)
+
+
 def test_dualize_rejects_zero_cone():
     with pytest.raises(ZeroCone):
         dualize(RationalCone(2, ()))
