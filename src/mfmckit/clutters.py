@@ -8,11 +8,10 @@ so the same type carries general monomial ideals when entries exceed 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, factorial, prod
 from operator import index, le
 
-from .errors import EmptyEdge, NotAntichain, NotZeroOne, OverlappingSpec, SizeLimit
+from .errors import EmptyEdge, NotAntichain, NotZeroOne, OverlappingSpec, Record, SizeLimit
 from .linalg import _minimal_solutions
 
 MINOR_CAP = 3 ** 12
@@ -29,8 +28,7 @@ def _check_antichain(columns):
             raise NotAntichain(a, b)
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
+class ExponentMatrix(Record):
     """Non-negative integer matrix whose columns minimally generate an ideal."""
 
     columns: tuple
@@ -69,8 +67,7 @@ class ExponentMatrix:
         return max(x for c in self.columns for x in c)
 
 
-@dataclass(frozen=True)
-class Clutter:
+class Clutter(Record):
     """A 0/1 exponent matrix with vertex labels."""
 
     matrix: ExponentMatrix
@@ -172,8 +169,7 @@ def clutter_from_edges(n: int, edges, labels=None) -> Clutter:
     return Clutter(ExponentMatrix(rows), tuple(labels) if labels else ())
 
 
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(Record):
     """Disjoint vertex sets sent to zero and to one."""
 
     zeros: tuple
@@ -188,8 +184,7 @@ class MinorSpec:
         object.__setattr__(self, "ones", o)
 
 
-@dataclass(frozen=True)
-class NonMinor:
+class NonMinor(Record):
     """Marker for a degenerate minor: 'unit' or 'zero' ideal."""
 
     reason: str

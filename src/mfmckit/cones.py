@@ -12,20 +12,18 @@ the same pass that yields the facets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from operator import index
 
-from .errors import ClassificationError, SizeLimit, ZeroCone
+from .errors import ClassificationError, Record, SizeLimit, ZeroCone
 from .linalg import _scaled_solve, dot, primitive
 
 QA_ENUM_CAP = 1_000_000
 RAY_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(Record):
     """Finitely generated cone in Z^dim; facets attached once computed."""
 
     dim: int
@@ -171,8 +169,7 @@ def cone_member(point, cone: RationalCone) -> bool:
     return all(dot(point, f) >= 0 for f in cone.facets)
 
 
-@dataclass(frozen=True)
-class ReesCone:
+class ReesCone(Record):
     """Cone over the unit vectors and the lifted generators (v_j, 1)."""
 
     base: "ExponentMatrix"
@@ -189,8 +186,7 @@ def rees_cone(m) -> ReesCone:
     return ReesCone(m, RationalCone(n + 1, tuple(gens)), frozenset(axes))
 
 
-@dataclass(frozen=True)
-class FacetClassification:
+class FacetClassification(Record):
     """Facets of a Rees cone split into coordinate and vertex families."""
 
     dim: int
@@ -249,8 +245,7 @@ def support_hyperplanes(m) -> FacetClassification:
     return classify_facets(rc, facet_normals(rc.cone))
 
 
-@dataclass(frozen=True)
-class QAPolyhedron:
+class QAPolyhedron(Record):
     """Vertex set of {x >= 0 : x A >= 1}."""
 
     matrix: "ExponentMatrix"

@@ -13,7 +13,6 @@ walks the minors only where the theorem leaves packing open.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import le
@@ -28,7 +27,7 @@ from .clutters import (
     packing_property,
 )
 from .cones import classify_facets, facet_normals, is_integral_qa, rees_cone
-from .errors import InconsistencyError, SizeLimit
+from .errors import InconsistencyError, Record, SizeLimit
 from .hilbert import basis_and_facets, normality, smith_invariants
 from .ideals import closure_power, ideal_equal, membership, ordinary_power, symbolic_power
 from .linalg import dot
@@ -92,8 +91,7 @@ def as_analysis(source) -> Analysis:
     return source if isinstance(source, Analysis) else Analysis(source)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     mfmc: bool
     normal: bool
     integral: bool
@@ -102,26 +100,27 @@ class Verdict:
     # lattice torsion of Z^(n+1)/<(v_j, 1)>, not "normally torsion free" (ntf)
     torsion_free: bool
     ntf: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict = None  # None: a fresh empty dict
     i_max_checked: int = 3
 
+    def __post_init__(self):
+        if self.witnesses is None:
+            object.__setattr__(self, "witnesses", {})
 
-@dataclass(frozen=True)
-class NtfResult:
+
+class NtfResult(Record):
     ok: bool
     failed_i: int = None
     witness: tuple = None
 
 
-@dataclass(frozen=True)
-class TdiCounterexample:
+class TdiCounterexample(Record):
     alpha: tuple
     rational_value: Fraction
     integral_value: int
 
 
-@dataclass(frozen=True)
-class TdiReport:
+class TdiReport(Record):
     bound: int
     checked: int
     counterexample: TdiCounterexample = None
@@ -257,8 +256,7 @@ def gr_reduced(source) -> bool:
     return normality(a.rees, a.basis)[0] and a.integral
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     a_integral: bool
     b_cover_facets: bool
     c_closure_symbolic: tuple  # per-power equality flags, i = 1..i_max
@@ -302,8 +300,7 @@ def integrality_equivalences(source, i_max: int = 3) -> EquivalenceReport:
     return report
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     total: int
     packing_true: int
     reduced_confirmed: int

@@ -1,6 +1,47 @@
-"""Exception taxonomy shared by all toolkit modules."""
+"""Exception taxonomy and frozen record base shared by all toolkit modules."""
 
 from __future__ import annotations
+
+
+class Record:
+    """Base of the package's frozen value types.
+
+    A subclass's annotations, in order, are its fields (_fields); a class
+    attribute is that field's default.  Each subclass compiles an
+    __init__ that sets the fields and then calls __post_init__, if the
+    class has one, and __eq__ and __hash__ over the tuple of its fields
+    less those named in _hidden, which repr leaves out too.  Fields are
+    set only through object.__setattr__."""
+
+    _fields = _hidden = ()
+
+    def __init_subclass__(cls):
+        names = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = [n for n in names if n in cls.__dict__]
+        ns = {"_set": object.__setattr__, **{f"_d_{n}": cls.__dict__[n] for n in defaults}}
+        compared = [n for n in names if n not in cls._hidden]
+        mine, theirs = ("(%s)" % "".join(f"{obj}.{n}, " for n in compared)
+                        for obj in ("self", "other"))
+        exec("\n".join([
+            "def __init__(self, %s):" % ", ".join(
+                f"{n}=_d_{n}" if n in defaults else n for n in names),
+            *(f"  _set(self, {n!r}, {n})" for n in names),
+            "  self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+            "def __eq__(self, other):",
+            f"  return {mine} == {theirs} if other.__class__ is self.__class__ else NotImplemented",
+            f"def __hash__(self): return hash({mine})",
+        ]), ns)
+        cls.__init__, cls.__eq__, cls.__hash__ = ns["__init__"], ns["__eq__"], ns["__hash__"]
+
+    def __repr__(self):
+        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields if n not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class MfmcError(Exception):

@@ -15,11 +15,10 @@ set; semigroup membership stays as the independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ge
 
 from .cones import _dd_steps, _insertion_order, rees_cone
-from .errors import InconsistencyError, SizeLimit
+from .errors import InconsistencyError, Record, SizeLimit
 from .linalg import _exact_div, _scaled_solve, dot, smith_invariant_factors
 
 DET_CAP = 10 ** 6
@@ -188,8 +187,7 @@ def is_normal(m, basis=None):
     return normality(rc, basis or basis_and_facets(rc)[0])
 
 
-@dataclass(frozen=True)
-class SmithInvariants:
+class SmithInvariants(Record):
     factors: tuple
     rank: int
     torsion_free: bool

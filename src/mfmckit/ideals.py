@@ -8,13 +8,12 @@ powers come from the minimal-point search linalg._minimal_solutions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from operator import le
 
 from .clutters import Clutter, minimal_vertex_covers
 from .cones import support_hyperplanes
-from .errors import NotSquareFree, SizeLimit
+from .errors import NotSquareFree, Record, SizeLimit
 from .linalg import _minimal_solutions
 
 ORDINARY_CAP = 500_000
@@ -32,8 +31,7 @@ def minimalize(vectors):
     return tuple(sorted(kept))
 
 
-@dataclass(frozen=True)
-class MonomialIdealGens:
+class MonomialIdealGens(Record):
     """Canonical minimal generating set of a monomial ideal."""
 
     gens: tuple

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .clutters import Clutter, ExponentMatrix, MinorSpec, MINOR_CAP
@@ -32,27 +31,31 @@ from .errors import (
     InconsistencyError,
     NotZeroOne,
     ParseError,
+    Record,
     UnsupportedMode,
 )
 
 REES_MODE = "rees"
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(Record):
     matrix: ExponentMatrix
     labels: tuple
     mode: str
     source_format: str
     # (input line, generator) in input order; the matrix sorts its columns
-    source_rows: tuple = field(default=(), compare=False, repr=False)
+    source_rows: tuple = ()
+    _hidden = ("source_rows",)
 
     def clutter(self) -> Clutter:
-        for r, (line, row) in enumerate(self.source_rows):
-            for col, x in enumerate(row):
-                if x not in (0, 1):
-                    raise NotZeroOne(r, col, x, line)
-        return Clutter(self.matrix, self.labels)
+        try:
+            return Clutter(self.matrix, self.labels)
+        except NotZeroOne:  # name the first bad entry in input order
+            for r, (line, row) in enumerate(self.source_rows):
+                for col, x in enumerate(row):
+                    if x not in (0, 1):
+                        raise NotZeroOne(r, col, x, line) from None
+            raise
 
 
 def _natural_key(name: str):
@@ -142,8 +145,7 @@ def parse_input(text: str) -> InputDocument:
     raise ParseError(content[0][0], f"unrecognized input starting with {first!r}")
 
 
-@dataclass(frozen=True)
-class PowerRow:
+class PowerRow(Record):
     i: int
     ordinary: int
     symbolic: int
@@ -153,8 +155,7 @@ class PowerRow:
     ordinary_eq_closure: bool
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     document: InputDocument
     verdict: Verdict
     hilbert_basis: tuple
@@ -328,7 +329,7 @@ def vertices_to_list(vertices) -> list:
 
 
 def powers_to_list(rows) -> list:
-    return [asdict(r) for r in rows]
+    return [dict(vars(r)) for r in rows]
 
 
 def verdict_to_dict(v: Verdict) -> dict:

@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 
 import pytest
 
@@ -162,6 +161,20 @@ def test_entry_error_names_the_input_line():
     assert str(exc.value) == "line 3: entry 2 at row 0, column 0 is not 0/1"
 
 
+@pytest.mark.parametrize("text, message", [
+    # one bad entry, on the last data line; it sorts to the middle column
+    ("# c\n3\n3\n0 0 1\n\n1 1 0\n0 2 0\n3\n", "line 7: entry 2 at row 2, column 1 is not 0/1"),
+    # two bad entries in two rows: the later one in input order sorts first
+    ("3\n3\n1 1 0\n0 3 0\n0 0 2\n3\n", "line 4: entry 3 at row 1, column 1 is not 0/1"),
+    # two bad entries in one row
+    ("2\n3\n0 1 1\n4 0 2\n3\n", "line 4: entry 4 at row 1, column 0 is not 0/1"),
+])
+def test_entry_error_names_the_first_bad_entry_in_input_order(text, message):
+    with pytest.raises(NotZeroOne) as exc:
+        parse_input(text).clutter()
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_junk():
     with pytest.raises(ParseError) as exc:
         parse_input("")
@@ -274,5 +287,5 @@ def test_json_fraction_witness():
 
 def test_witness_table_follows_the_verdict_fields():
     # verdict_lines prints mfmc, then every fact of this table, in order
-    names = [f.name for f in fields(Verdict)]
+    names = list(Verdict._fields)
     assert ["mfmc", *WITNESSES] == names[:names.index("witnesses")]

@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -112,3 +114,23 @@ def test_no_function_calls_itself():
              and any(isinstance(call, ast.Call) and callee(call) == node.name
                      for call in ast.walk(node))]
     assert SOURCES and found == []
+
+
+def test_the_cli_runs_without_dataclasses_or_inspect(tmp_path):
+    # the records compile their own methods: importing dataclasses (and
+    # with it inspect) cost the CLI's start-up a third of its import, and a
+    # lazy import would only move that cost into the first job
+    q6 = tmp_path / "q6.txt"
+    q6.write_text("edge 1 2 3\nedge 1 4 5\nedge 2 4 6\nedge 3 5 6\n")
+    code = "; ".join([
+        f"import sys; sys.path.insert(0, {str(Path(mfmckit.__file__).parent.parent)!r})",
+        "import mfmckit.cli",
+        f"codes = [mfmckit.cli.main(['mfmc', {str(q6)!r}]),"
+        " mfmckit.cli.main(['scan', '--max-vertices', '3', '--max-edges', '3'])]",
+        "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+    ])
+    # -I -S: no site hooks, so every module loaded comes from this code;
+    # -B: -I drops PYTHONDONTWRITEBYTECODE, and no __pycache__ is written
+    run = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                         capture_output=True, text=True, timeout=120)
+    assert run.stderr == "" and run.stdout.splitlines()[-1] == "[0, 0] []"
