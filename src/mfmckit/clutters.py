@@ -8,6 +8,7 @@ so the same type carries general monomial ideals when entries exceed 1.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import comb, factorial, prod
 from operator import index, le
 
@@ -18,6 +19,11 @@ MINOR_CAP = 3 ** 12
 MATCHING_CAP = 2_000_000
 ENUMERATION_CAP = 1_000_000
 RELABEL_CAP = 720
+
+
+@cache
+def _default_labels(n: int) -> tuple:
+    return tuple(f"x{i + 1}" for i in range(n))
 
 
 def _check_antichain(columns):
@@ -78,7 +84,7 @@ class Clutter(Record):
             for i, x in enumerate(c):
                 if x not in (0, 1):
                     raise NotZeroOne(j, i, x)
-        labels = self.labels or tuple(f"x{i + 1}" for i in range(self.matrix.n))
+        labels = self.labels or _default_labels(self.matrix.n)
         if len(labels) != self.matrix.n:
             raise ValueError("label count differs from vertex count")
         if len(set(labels)) < len(labels):
@@ -130,19 +136,29 @@ def _canonical_key(c: Clutter) -> tuple:
     for x, incidence in enumerate(side):
         blocks.setdefault(tuple(sorted(itertools.compress(sizes, incidence))), []).append(x)
     order = [blocks[k] for k in sorted(blocks)]
-    if prod(factorial(len(b)) for b in order) > RELABEL_CAP:
+    if len(order) == len(side):  # singleton blocks: the one relabelling
+        relabellings = [order]
+    elif prod(factorial(len(b)) for b in order) > RELABEL_CAP:
         relabellings = [[range(len(side))]]
     else:  # product() lists each block's permutations up front
         relabellings = itertools.product(*map(itertools.permutations, order))
     powers = [1 << p for p in range(len(side))]
     bits = [0] * len(side)
-
-    def form(choice):
+    best = None
+    for choice in relabellings:
         for x, bit in zip(itertools.chain.from_iterable(choice), powers):
             bits[x] = bit
-        return tuple(sorted([sum(itertools.compress(bits, incidence)) for incidence in other]))
+        form = tuple(sorted([sum(itertools.compress(bits, incidence)) for incidence in other]))
+        if best is None or form < best:
+            best = form
+    return len(rows), len(cols), best
 
-    return len(rows), len(cols), min(map(form, relabellings))
+
+def _trusted_clutter(rows, labels) -> Clutter:
+    """Clutter over 0/1 rows that the package built itself: an antichain
+    of non-empty edges, with one distinct label per vertex.  The rows are
+    sorted as ExponentMatrix sorts them, and nothing is checked again."""
+    return Clutter._trusted(ExponentMatrix._trusted(tuple(sorted(rows))), labels)
 
 
 def validate(grid, labels=None) -> Clutter:
@@ -209,13 +225,10 @@ def minor(c: Clutter, spec: MinorSpec):
         if not e2:
             return NonMinor("unit")
         shrunk.append(e2)
-    minimal = [e for e in shrunk if not any(f < e for f in shrunk)]
-    dedup = sorted(set(frozenset(e) for e in minimal), key=sorted)
+    minimal = {frozenset(e) for e in shrunk if not any(f < e for f in shrunk)}
     survivors = [i for i in range(c.n) if i not in zeros and i not in ones]
-    pos = {v: k for k, v in enumerate(survivors)}
-    edges = [sorted(pos[v] for v in e) for e in dedup]
-    labels = tuple(c.labels[i] for i in survivors)
-    return clutter_from_edges(len(survivors), edges, labels)
+    rows = [tuple([1 if v in e else 0 for v in survivors]) for e in minimal]
+    return _trusted_clutter(rows, tuple(c.labels[i] for i in survivors))
 
 
 def _minor_specs(n: int):
@@ -335,7 +348,8 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
     picked, so only antichains are visited.  Their number is bounded by
     the C(2^n - 1, k) candidate families for each n and k <= max_edges,
     whose count, summed vertex count by vertex count until it passes the
-    cap, must stay within ENUMERATION_CAP."""
+    cap, must stay within ENUMERATION_CAP.  The walk's rows are 0/1
+    antichains by construction, so each clutter is built unchecked."""
     candidates = 0
     for n in range(1, max_vertices + 1):
         if candidates > ENUMERATION_CAP:
@@ -347,6 +361,8 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
     for n in range(1, max_vertices + 1):
         subsets = [e for k in range(1, n + 1) for e in itertools.combinations(range(n), k)]
         masks = [sum(1 << i for i in e) for e in subsets]
+        rows = [tuple([1 if i in e else 0 for i in range(n)]) for e in subsets]
+        labels = _default_labels(n)
         full = (1 << n) - 1
         top = min(max_edges, len(subsets))
         # later[i]: the later subsets incomparable with subset i, as a bitmask;
@@ -362,16 +378,16 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
                 # pending nodes (chosen, free, union, left), free the bitmask of the
                 # subsets that may still join chosen; a node is pushed back less its
                 # least free subset, under the branch that takes that subset
-                stack = [((subsets[i],), later[i], masks[i], count - 1)]
+                stack = [((rows[i],), later[i], masks[i], count - 1)]
                 while stack:
                     chosen, free, union, left = stack.pop()
                     if not left:
                         if union == full:
-                            yield clutter_from_edges(n, chosen)
+                            yield _trusted_clutter(chosen, labels)
                     elif free.bit_count() >= left:
                         low = free & -free
                         free ^= low
                         j = low.bit_length() - 1
                         stack.append((chosen, free, union, left))
-                        stack.append((chosen + (subsets[j],), free & later[j],
+                        stack.append((chosen + (rows[j],), free & later[j],
                                       union | masks[j], left - 1))

@@ -178,12 +178,16 @@ class ReesCone(Record):
 
 
 def rees_cone(m) -> ReesCone:
+    """The Rees cone of an ExponentMatrix.  Its generators, the unit
+    vectors and the distinct columns lifted to (v, 1), are primitive and
+    distinct already, so they are only sorted."""
     n = m.n
     gens = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
-    gens += [tuple(c) + (1,) for c in m.columns]
+    gens += [c + (1,) for c in m.columns]
     axes = {i for i in range(n) if any(c[i] == 0 for c in m.columns)}
     axes.add(n)
-    return ReesCone(m, RationalCone(n + 1, tuple(gens)), frozenset(axes))
+    cone = RationalCone._trusted(n + 1, tuple(sorted(gens)), None)
+    return ReesCone(m, cone, frozenset(axes))
 
 
 class FacetClassification(Record):

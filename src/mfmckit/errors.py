@@ -33,6 +33,16 @@ class Record:
         ]), ns)
         cls.__init__, cls.__eq__, cls.__hash__ = ns["__init__"], ns["__eq__"], ns["__hash__"]
 
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance holding one value per field, in order, as given:
+        __post_init__ does not run, so only values the package built and
+        knows to be canonical may come here, never input."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(self, name, value)
+        return self
+
     def __repr__(self):
         shown = (f"{n}={getattr(self, n)!r}" for n in self._fields if n not in self._hidden)
         return f"{type(self).__qualname__}({', '.join(shown)})"

@@ -39,13 +39,6 @@ class MonomialIdealGens(Record):
     def __post_init__(self):
         object.__setattr__(self, "gens", minimalize(self.gens))
 
-    @classmethod
-    def _trusted(cls, gens):
-        """Wrap generators already minimal and sorted, without re-minimalizing."""
-        ideal = object.__new__(cls)
-        object.__setattr__(ideal, "gens", gens)
-        return ideal
-
     def __len__(self):
         return len(self.gens)
 

@@ -12,7 +12,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .clutters import Clutter, ExponentMatrix, MinorSpec, MINOR_CAP
+from .clutters import Clutter, ExponentMatrix, MinorSpec, MINOR_CAP, _default_labels
 from .cones import FacetClassification, QAPolyhedron, qa_vertices_direct
 from .decisions import (
     ScanReport,
@@ -103,8 +103,7 @@ def _parse_normaliz(lines) -> InputDocument:
     if pos < len(stream):
         raise ParseError(stream[pos][0], "unexpected trailing content")
     matrix = ExponentMatrix(tuple(row for _, row in rows))
-    labels = tuple(f"x{i + 1}" for i in range(n))
-    return InputDocument(matrix, labels, REES_MODE, "normaliz", tuple(rows))
+    return InputDocument(matrix, _default_labels(n), REES_MODE, "normaliz", tuple(rows))
 
 
 def _parse_native(lines) -> InputDocument:

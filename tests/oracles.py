@@ -227,6 +227,21 @@ def brute_beta1(edges):
     return best
 
 
+def brute_minor(c, zeros, ones):
+    """c with the edges meeting zeros deleted and ones shrunk out of the
+    rest, built by clutter_from_edges over the surviving vertices; None
+    for the zero ideal (no edge left) or the unit ideal (an empty edge)."""
+    kept = [set(e) - set(ones) for e in c.edges if not set(e) & set(zeros)]
+    if not kept or not all(kept):
+        return None
+    survivors = [v for v in range(c.n) if v not in zeros and v not in ones]
+    minimal = [e for i, e in enumerate(kept)
+               if e not in kept[:i] and not any(f < e for f in kept)]
+    return clutter_from_edges(len(survivors),
+                              [[survivors.index(v) for v in e] for e in minimal],
+                              [c.labels[v] for v in survivors])
+
+
 def brute_antichains(n, max_edges):
     """Every family of 1..max_edges pairwise-incomparable non-empty
     subsets touching all n vertices."""

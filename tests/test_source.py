@@ -134,3 +134,45 @@ def test_the_cli_runs_without_dataclasses_or_inspect(tmp_path):
     run = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
                          capture_output=True, text=True, timeout=120)
     assert run.stderr == "" and run.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def _called(node):
+    """Names that node calls, bare or as an attribute."""
+    return {getattr(n.func, "id", getattr(n.func, "attr", None))
+            for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+
+def test_trusted_builders_wrap_only_the_package_s_own_output():
+    # Record._trusted skips __post_init__, so only what the package built
+    # may go through it: the antichain walk's rows, the Rees cone's
+    # generators, minor's edges and the power searches' generators
+    trusted = {"_trusted", "_trusted_clutter"}
+    sites, graph = [], {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+            for fn in methods if isinstance(node, ast.ClassDef) else [node]:
+                name = fn.name if fn is node else f"{node.name}.{fn.name}"
+                graph.setdefault(fn.name, set()).update(_called(fn))
+                if _called(fn) & trusted:
+                    sites.append(f"{path.stem}.{name}")
+            # calling a class runs its __post_init__ (or its own __init__)
+            graph.setdefault(node.name, set()).update(
+                *(_called(m) for m in methods if m.name in ("__init__", "__post_init__")))
+    assert sorted(sites) == ["clutters._trusted_clutter", "clutters.enumerate_clutters",
+                             "clutters.minor", "cones.rees_cone",
+                             "ideals.closure_power", "ideals.symbolic_power"]
+    # the parser and every checking constructor reach none of them, even
+    # with every call of a name taken to reach each definition of it
+    reached = set()
+    todo = ["parse_input", "validate", "clutter_from_edges",
+            *(name for name in graph if name[0].isupper())]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(graph.get(name, ()))
+    assert "ExponentMatrix" in reached and "_check_antichain" in reached
+    assert reached.isdisjoint(trusted | {s.split(".")[1] for s in sites})
