@@ -150,17 +150,20 @@ def test_trusted_builders_wrap_only_the_package_s_own_output():
     sites, graph = [], {}
     for path in SOURCES:
         for node in ast.parse(path.read_text(), str(path)).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{m.name}", m)
+                        for m in node.body if isinstance(m, ast.FunctionDef)]
+                # calling a class runs its __post_init__ (or its own __init__)
+                graph[node.name] = set().union(
+                    *(_called(m) for _, m in defs if m.name in ("__init__", "__post_init__")))
+            else:
                 continue
-            methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
-            for fn in methods if isinstance(node, ast.ClassDef) else [node]:
-                name = fn.name if fn is node else f"{node.name}.{fn.name}"
+            for name, fn in defs:
                 graph.setdefault(fn.name, set()).update(_called(fn))
                 if _called(fn) & trusted:
                     sites.append(f"{path.stem}.{name}")
-            # calling a class runs its __post_init__ (or its own __init__)
-            graph.setdefault(node.name, set()).update(
-                *(_called(m) for m in methods if m.name in ("__init__", "__post_init__")))
     assert sorted(sites) == ["clutters._trusted_clutter", "clutters.enumerate_clutters",
                              "clutters.minor", "cones.rees_cone",
                              "ideals.closure_power", "ideals.symbolic_power"]
