@@ -29,7 +29,8 @@ from .clutters import (
 from .cones import classify_facets, facet_normals, is_integral_qa, rees_cone
 from .errors import InconsistencyError, Record, SizeLimit
 from .hilbert import basis_and_facets, normality, smith_invariants
-from .ideals import closure_power, ideal_equal, membership, ordinary_power, symbolic_power
+from .ideals import (
+    _as_clutter, closure_power, ideal_equal, membership, ordinary_power, symbolic_power)
 from .linalg import dot
 
 TDI_BOX_CAP = 1_000_000
@@ -37,10 +38,10 @@ TDI_BOX_CAP = 1_000_000
 
 class Analysis:
     """The Rees-cone objects of one clutter, each computed on first use
-    and kept: the Rees cone, its facets, the covering-polyhedron vertices
-    read off them and whether they are integral, the minimal vertex
-    covers, the Hilbert basis (its pass also fills the facets, if not yet
-    computed) and the power ideals."""
+    and kept: the Rees cone, its facets, whether Q(A) is integral (read
+    off the vertex normals), its vertex list (only to be printed, or for
+    a witness or a gap's rational value), the minimal vertex covers, the
+    Hilbert basis (its pass also fills the facets) and the powers."""
 
     POWERS = {
         "ordinary": lambda a, i: ordinary_power(a.clutter.matrix, i),
@@ -88,7 +89,8 @@ class Analysis:
 
 
 def as_analysis(source) -> Analysis:
-    return source if isinstance(source, Analysis) else Analysis(source)
+    """An Analysis of a Clutter or 0/1 ExponentMatrix, else NotSquareFree."""
+    return source if isinstance(source, Analysis) else Analysis(_as_clutter(source))
 
 
 class Verdict(Record):
@@ -164,26 +166,25 @@ def tdi_bounded_check(source, bound: int = 2) -> TdiReport:
 
     The rational optimum of max{<1,y> : y >= 0, A y <= alpha} is read
     off the vertices of the dual feasible region {x >= 0 : x A >= 1};
-    the integral optimum comes from a residual-capacity recursion.
+    the integral optimum comes from a DP over the box in index order.
     Stops at the first gap."""
     a = as_analysis(source)
     n = a.clutter.n
     require_tdi_box(n, bound)
-    cols = a.clutter.matrix.columns
-    best = {}
-    # lexicographic order visits every alpha - v before alpha
-    demands = itertools.product(range(bound + 1), repeat=n)
-    for checked, alpha in enumerate(demands, start=1):
+    # alpha has index <alpha, radix> in the lexicographic order of
+    # itertools.product, so alpha - v sits <v, radix> places back if v <= alpha
+    radix = [(bound + 1) ** k for k in reversed(range(n))]
+    steps = [(v, dot(v, radix)) for v in a.clutter.matrix.columns]
+    best = []
+    for checked, alpha in enumerate(itertools.product(range(bound + 1), repeat=n), 1):
         top = 0
-        for v in cols:
-            if all(map(le, v, alpha)):
-                prev = best[tuple(x - y for x, y in zip(alpha, v))]
-                if prev + 1 > top:
-                    top = prev + 1
-        best[alpha] = top
-        # a gap: top < <alpha, v> at every vertex v = alpha'/b of Q(A),
-        # tested in integers on its normal (alpha', -b)
-        if all(dot(alpha + (top,), f) > 0 for f in a.facets.vertex_normals):
+        for v, back in steps:
+            if all(map(le, v, alpha)) and best[-back] >= top:
+                top = best[-back] + 1
+        best.append(top)
+        # a gap: top < <alpha, v> at every vertex v = alpha'/b of Q(A), tested as
+        # <alpha, alpha'> - top b > 0 on its normal (alpha', -b); dot stops at the lift
+        if all(dot(alpha, f) + top * f[-1] > 0 for f in a.facets.vertex_normals):
             rational = min(dot(alpha, v) for v in a.vertices)
             return TdiReport(bound, checked, TdiCounterexample(alpha, rational, top))
     return TdiReport(bound, checked)
@@ -217,7 +218,7 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     c = a.clutter
     # {fact: (holds, witness)} in Verdict field order; a fact set again keeps its place
     facts = {"normal": normality(a.rees, a.basis),
-             "integral": is_integral_qa(c.matrix, a.vertices)}
+             "integral": (True, None) if a.integral else is_integral_qa(c.matrix, a.vertices)}
     mfmc = facts["normal"][0] and facts["integral"][0]
     smith = smith_invariants(c.matrix)
     # MFMC at weights 0, 1 and large is Koenig on every minor, and I is
@@ -280,15 +281,13 @@ def integrality_equivalences(source, i_max: int = 3) -> EquivalenceReport:
     supposed to compute the same thing."""
     require_i_max(i_max)
     an = as_analysis(source)
-    c = an.clutter
-    a, _ = is_integral_qa(c.matrix, an.vertices)
-    cover_normals = {tuple(int(v in cover) for v in range(c.n)) + (-1,)
+    a = an.integral
+    cover_normals = {tuple(int(v in cover) for v in range(an.clutter.n)) + (-1,)
                      for cover in an.covers}
     b = set(an.facets.vertex_normals) <= cover_normals
-    flags = []
-    for i in range(1, i_max + 1):
-        flags.append(ideal_equal(an.power("closure", i), an.power("symbolic", i)))
-    report = EquivalenceReport(a, b, tuple(flags), i_max)
+    flags = tuple(ideal_equal(an.power("closure", i), an.power("symbolic", i))
+                  for i in range(1, i_max + 1))
+    report = EquivalenceReport(a, b, flags, i_max)
     if a != b:
         raise InconsistencyError(
             f"integrality ({a}) and facet shape ({b}) disagree"

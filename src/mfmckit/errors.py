@@ -100,7 +100,7 @@ class ClassificationError(MfmcError):
 
 
 class NotSquareFree(MfmcError):
-    """Symbolic powers were requested for a non-square-free ideal."""
+    """A clutter fact or symbolic power was requested for a non-square-free ideal."""
 
 
 class InconsistencyError(MfmcError):

@@ -68,7 +68,7 @@ def _as_clutter(source) -> Clutter:
     if isinstance(source, Clutter):
         return source
     if not source.is_zero_one():
-        raise NotSquareFree("symbolic powers need a square-free (0/1) ideal")
+        raise NotSquareFree("clutter facts and symbolic powers need a square-free (0/1) ideal")
     return Clutter(source)
 
 

@@ -498,6 +498,26 @@ def tdi_rational_max(cols, alpha):
     return best
 
 
+def tuple_keyed_tdi_scan(cols, vertex_normals, vertices, bound):
+    """The bounded TDI scan with its optimum table keyed by demand tuples,
+    as the package ran it before indexing the box: (checked, None) when
+    {0..bound}^n has no gap, else (checked, (alpha, rational value,
+    integral value)) at the first gap in lexicographic order.  A gap is
+    <(alpha, top), f> > 0 on every vertex normal f = (alpha', -b)."""
+    best = {}
+    demands = itertools.product(range(bound + 1), repeat=len(cols[0]))
+    for checked, alpha in enumerate(demands, start=1):
+        top = 0
+        for v in cols:
+            if all(x <= y for x, y in zip(v, alpha)):
+                top = max(top, best[tuple(x - y for x, y in zip(alpha, v))] + 1)
+        best[alpha] = top
+        if all(sum(x * y for x, y in zip(alpha + (top,), f)) > 0 for f in vertex_normals):
+            rational = min(sum(x * y for x, y in zip(alpha, v)) for v in vertices)
+            return checked, (alpha, rational, top)
+    return checked, None
+
+
 def tdi_integral_max(cols, alpha):
     top = max(alpha) if alpha else 0
     best = 0

@@ -19,6 +19,7 @@ from mfmckit.decisions import (
     NtfResult,
     ScanReport,
     TdiCounterexample,
+    TdiReport,
     conjecture_scan,
     decide_mfmc,
     gr_reduced,
@@ -26,7 +27,7 @@ from mfmckit.decisions import (
     ntf_check,
     tdi_bounded_check,
 )
-from mfmckit.errors import InconsistencyError, SizeLimit
+from mfmckit.errors import InconsistencyError, NotSquareFree, SizeLimit
 from mfmckit.hilbert import hilbert_basis, semigroup_member, smith_invariants
 from mfmckit.ideals import symbolic_power
 from mfmckit.linalg import dot
@@ -37,8 +38,10 @@ from oracles import (
     brute_beta1,
     brute_minimal_covers,
     monoid_member,
+    random_clutters,
     tdi_integral_max,
     tdi_rational_max,
+    tuple_keyed_tdi_scan,
 )
 
 
@@ -250,6 +253,28 @@ def test_tdi_demand_box_is_capped(reference_clutter, monkeypatch):
         tdi_bounded_check(reference_clutter, 30)
     assert (exc.value.stage, exc.value.needed, exc.value.cap) == (
         "tdi demand box", 31 ** 5, TDI_BOX_CAP)
+
+
+def test_tdi_scan_matches_the_tuple_keyed_oracle(random100, triangle, q6,
+                                                 reference_clutter):
+    # the indexed table against one keyed by demand tuples, fed the facets
+    # and the basic-solution vertices, at every bound B with (B+1)^n <= 10^5
+    cycles = [clutter_from_edges(n, [(v, (v + 1) % n) for v in range(n)]) for n in (5, 7)]
+    k33 = clutter_from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    family = [*random100, *random_clutters(count=100, seed=20261020),
+              triangle, q6, reference_clutter, *cycles, k33]
+    gaps = Counter()
+    for c in family:
+        normals = support_hyperplanes(c.matrix).vertex_normals
+        vertices = qa_vertices_direct(c.matrix).vertices
+        for bound in (1, 2, 3):
+            if (bound + 1) ** c.n > 10 ** 5:
+                continue
+            checked, gap = tuple_keyed_tdi_scan(c.matrix.columns, normals, vertices, bound)
+            expected = TdiReport(bound, checked, gap and TdiCounterexample(*gap))
+            assert tdi_bounded_check(c, bound) == expected
+            gaps[gap is not None] += 1
+    assert gaps == {False: 426, True: 192}
 
 
 # the symbolic power first finds the covers, 21 search nodes on the reference
@@ -506,22 +531,27 @@ def test_mfmc_verdicts_run_no_search(monkeypatch, reference_clutter, single_edge
     calls = count_calls(monkeypatch)
     for c in family:
         assert decide_mfmc(c).mfmc
+    # integrality comes off the vertex normals, so no vertex list is built
     searches = ("packing_property", "_disjoint_edges", "minimal_vertex_covers",
-                "ordinary_power", "symbolic_power")
+                "ordinary_power", "symbolic_power", "qa_vertices")
     assert [calls[name] for name in searches] == [0] * len(searches)
 
 
 def test_decisions_skip_basic_solution_vertices(monkeypatch, random100, tmp_path,
                                                 capsys):
     calls = count_calls(monkeypatch)
-    failing = 0
+    failing = fractional = 0
     for k, c in enumerate(random100[:10], start=1):
-        # the covers serve only the witnesses of a clutter without MFMC
-        failing += not decide_mfmc(c, i_max=2).mfmc
+        # the covers serve only the witnesses of a clutter without MFMC, and
+        # the vertex list only the witness of a fractional one
+        verdict = decide_mfmc(c, i_max=2)
+        failing += not verdict.mfmc
+        fractional += not verdict.integral
         assert calls["minimal_vertex_covers"] == failing
+        assert calls["qa_vertices"] == fractional
         # one Rees cone and one double description pass per verdict
         assert calls["rees_cone"] == calls["_dd_steps"] == k
-    assert 0 < failing < 10
+    assert 0 < fractional <= failing < 10
     conjecture_scan(random100[:10])
     cones_before = calls["rees_cone"]
     assert calls["_dd_steps"] == cones_before
@@ -530,9 +560,22 @@ def test_decisions_skip_basic_solution_vertices(monkeypatch, random100, tmp_path
     assert main(["mfmc", str(path), "--imax", "2"]) == 0
     assert "mfmc: false" in capsys.readouterr().out
     assert calls["rees_cone"] == calls["_dd_steps"] == cones_before + 1
+    assert calls["qa_vertices"] == fractional + 1  # C5 is fractional
     assert calls["qa_vertices_direct"] == calls["minor"] == 0
     assert calls["semigroup_member"] == calls["matching_number"] == 0
     assert calls["support_hyperplanes"] == calls["hilbert_basis"] == 0
+
+
+def test_integrality_equivalences_build_no_vertex_list(monkeypatch, random100,
+                                                        triangle, q6):
+    # (a) comes off the vertex normals; the basic-solution vertices are the oracle
+    family = [*random100[:20], triangle, q6]
+    expected = [is_integral_qa(c.matrix, qa_vertices_direct(c.matrix).vertices)[0]
+                for c in family]
+    assert 0 < expected.count(False) < len(family)
+    calls = count_calls(monkeypatch)
+    assert [integrality_equivalences(c, 2).a_integral for c in family] == expected
+    assert calls["qa_vertices"] == calls["qa_vertices_direct"] == 0
 
 
 def test_analyze_checks_the_tdi_box_first(monkeypatch):
@@ -554,6 +597,19 @@ def test_analysis_gives_the_clutter_results(random100):
         assert tdi_bounded_check(a, 2) == tdi_bounded_check(c, 2)
         assert gr_reduced(a) == gr_reduced(c)
         assert powers_table(a) == powers_table(c)
+
+
+@pytest.mark.parametrize("fact", [
+    decide_mfmc, ntf_check, integrality_equivalences, gr_reduced, powers_table,
+    tdi_bounded_check], ids=lambda fact: fact.__name__)
+def test_fact_functions_take_an_exponent_matrix(fact, random100, squares_matrix,
+                                                mixed_pair_matrix):
+    # a 0/1 matrix is read as its clutter; any other matrix is not square-free
+    for c in random100[:20]:
+        assert fact(c.matrix) == fact(c)
+    for m in (squares_matrix, mixed_pair_matrix):
+        with pytest.raises(NotSquareFree):
+            fact(m)
 
 
 def test_analysis_reads_basis_and_facets_off_one_pass(monkeypatch, random100,
