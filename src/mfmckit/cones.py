@@ -6,7 +6,10 @@ Rays carry bitmask zero-sets over the processed constraints; adjacency
 uses the standard combinatorial test, after a count of the shared zeros
 against the rank.  The pass runs as a step
 generator, so the placing triangulation reads each insertion step off
-the same pass that yields the facets.
+the same pass that yields the facets.  It starts from the orthant: a
+leading run of distinct unit-vector constraints leaves a state known in
+advance, which is built directly rather than by dot products, and the
+yielded lists of those steps are the state after the whole run.
 """
 
 from __future__ import annotations
@@ -55,10 +58,29 @@ def _dd_steps(constraints, dim):
     span of those so far, the ([vector, zero-set], <vector, c>) pairs of
     the rays it cut off, and the current [vector, zero-set] rays and
     lineality basis (live lists).  RAY_CAP bounds the rays, checked as
-    each new ray is made and after each step."""
-    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    rays = []  # [vector, zero-set bitmask]
-    for idx, c in enumerate(constraints):
+    each new ray is made and after each step.
+
+    The pass starts from the orthant.  Each of a leading run of k
+    distinct unit vectors e_a raises the span, and together they leave
+    the rays e_a in insertion order, each zero on the other k
+    constraints, and the other unit vectors, in index order, as the
+    lineality basis.  Those lists are built directly, without dot
+    products, and yielded for each of the k steps, so during the prefix
+    the yielded lists are already the post-prefix ones."""
+    units = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
+    axis = {u: i for i, u in enumerate(units)}
+    prefix = {}  # axis -> position of its unit constraint
+    for c in constraints:
+        a = axis.get(c)
+        if a is None or a in prefix or len(prefix) == RAY_CAP:
+            break
+        prefix[a] = len(prefix)
+    k = len(prefix)
+    rays = [[units[a], ((1 << k) - 1) ^ (1 << i)] for a, i in prefix.items()]
+    lin = [u for a, u in enumerate(units) if a not in prefix]
+    for _ in range(k):
+        yield True, (), rays, lin
+    for idx, c in enumerate(constraints[k:], k):
         bit = 1 << idx
         hit = next((j for j, l in enumerate(lin) if dot(l, c)), None)
         if hit is not None:

@@ -7,7 +7,9 @@ determinants instead of integer reduction.  The one exception is the
 placing triangulation, which recomputes every hull from scratch with
 the package's facet_normals instead of reading the incremental pass.
 The recursive searches are the package's earlier forms of its search
-loops, kept to pin the loops' output order and node counts.
+loops, kept to pin the loops' output order and node counts, and
+unseeded_dd_steps is the double description pass before its orthant
+start, kept to pin every step of the seeded pass.
 Desk-scale inputs only.
 """
 
@@ -126,6 +128,81 @@ def brute_facets(generators, dim):
         elif all(d <= 0 for d in dots):
             out.add(tuple(-x for x in normal))
     return out
+
+
+def unseeded_dd_steps(constraints, dim, cap=100_000):
+    """cones._dd_steps as it was before its orthant start, with cap for
+    RAY_CAP: the pass begins from the whole space, lineality basis the
+    unit vectors and no rays, and computes every step, unit-vector
+    constraints included, by dot products."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    def primitive(v):
+        g = gcd(*v)
+        return tuple(x // g for x in v)
+
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []  # [vector, zero-set bitmask]
+    for idx, c in enumerate(constraints):
+        bit = 1 << idx
+        hit = next((j for j, l in enumerate(lin) if dot(l, c)), None)
+        if hit is not None:
+            l0 = lin[hit]
+            p0 = dot(l0, c)
+            if p0 < 0:
+                l0, p0 = tuple(-x for x in l0), -p0
+            new_lin = []
+            for j, l in enumerate(lin):
+                if j == hit:
+                    continue
+                pl = dot(l, c)
+                if pl:
+                    l = primitive(tuple(p0 * a - pl * b for a, b in zip(l, l0)))
+                new_lin.append(l)
+            new_rays = []
+            for vec, z in rays:
+                pr = dot(vec, c)
+                if pr:
+                    vec = primitive(tuple(p0 * a - pr * b for a, b in zip(vec, l0)))
+                new_rays.append([vec, z | bit])
+            new_rays.append([l0, bit - 1])
+            lin, rays = new_lin, new_rays
+            raised, neg = True, ()
+        else:
+            pos, zero, neg = [], [], []
+            for ray in rays:
+                p = dot(ray[0], c)
+                if p > 0:
+                    pos.append((ray, p))
+                elif p < 0:
+                    neg.append((ray, p))
+                else:
+                    zero.append(ray)
+            survivors = [ray for ray, _ in pos]
+            rank = dim - len(lin)
+            for ray in zero:
+                ray[1] |= bit
+                survivors.append(ray)
+            for rp, pp in pos:
+                for rn, pn in neg:
+                    meet = rp[1] & rn[1]
+                    if meet.bit_count() < rank - 2:
+                        continue
+                    blocked = any(
+                        r is not rp and r is not rn and (r[1] & meet) == meet
+                        for r in rays
+                    )
+                    if blocked:
+                        continue
+                    w = primitive(tuple(pp * b - pn * a for a, b in zip(rp[0], rn[0])))
+                    survivors.append([w, meet | bit])
+                    if len(survivors) > cap:
+                        raise SizeLimit("double description", len(survivors), cap)
+            rays, raised = survivors, False
+        if len(rays) > cap:
+            raise SizeLimit("double description", len(rays), cap)
+        yield raised, neg, rays, lin
 
 
 def basic_solution_vertices(n, columns):

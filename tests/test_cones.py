@@ -28,6 +28,7 @@ from oracles import (
     frac_rank,
     random_clutters,
     random_exponent_matrices,
+    unseeded_dd_steps,
     vertex_to_facet_normal,
 )
 
@@ -273,6 +274,41 @@ def test_ray_cap_stops_the_step_that_passes_it(reference_matrix, monkeypatch):
     with pytest.raises(SizeLimit) as exc:
         support_hyperplanes(reference_matrix)
     assert (exc.value.stage, exc.value.needed, exc.value.cap) == ("double description", 7, 6)
+
+
+def test_ray_cap_binds_during_the_unit_vector_prefix(monkeypatch):
+    # five leading unit vectors make five rays; with the cap at 3 both
+    # passes yield three steps and stop at the fourth ray
+    gens = [tuple(int(i == j) for j in range(6)) for i in range(5)] + [(1,) * 6]
+    monkeypatch.setattr(cones, "RAY_CAP", 3)
+    outcomes = []
+    for steps in (cones._dd_steps(gens, 6), unseeded_dd_steps(gens, 6, cap=3)):
+        done = []
+        with pytest.raises(SizeLimit) as exc:
+            for step in steps:
+                done.append(step)
+        outcomes.append((len(done), str(exc.value)))
+    assert outcomes[0] == outcomes[1] == (
+        3, "double description: needs 4 states, cap is 3")
+
+
+def test_one_wide_edge_takes_linearly_many_dot_products(monkeypatch):
+    # the n unit vectors lead the Rees cone's insertion order, so only the
+    # lifted edge is paired with the rays and the lineality basis; the
+    # unseeded pass pairs each unit vector with all of them, ~n^2 in all
+    n, calls = 300, 0
+
+    def counted(u, v):
+        nonlocal calls
+        calls += 1
+        return dot(u, v)
+
+    monkeypatch.setattr(cones, "dot", counted)
+    facets = support_hyperplanes(ExponentMatrix(((1,) * n,)))
+    assert calls <= 3 * (n + 1)
+    assert facets.coordinate_indices == (n,)
+    assert facets.vertex_normals == tuple(
+        tuple(int(i == j) for j in range(n)) + (-1,) for i in reversed(range(n)))
 
 
 def test_is_integral(reference_matrix, triangle):

@@ -5,18 +5,19 @@ from types import SimpleNamespace
 import pytest
 
 from mfmckit import cones, hilbert
-from mfmckit.clutters import ExponentMatrix, clutter_from_edges
+from mfmckit.clutters import ExponentMatrix, clutter_from_edges, enumerate_clutters
 from mfmckit.cones import (
     _insertion_order, attach_facets, cone_member, facet_normals, rees_cone)
 from mfmckit.errors import InconsistencyError, SizeLimit
 from mfmckit.hilbert import (
-    _parallelepiped_points, _placing_triangulation, hilbert_basis,
-    is_normal, semigroup_member, smith_invariants)
+    _parallelepiped_points, _placing_triangulation, basis_and_facets,
+    hilbert_basis, is_normal, semigroup_member, smith_invariants)
 from mfmckit.linalg import dot
 
 from oracles import (
     decomposes, frac_det, monoid_member, parallelepiped_points,
-    placing_triangulation, random_exponent_matrices, snf_by_minors)
+    placing_triangulation, random_exponent_matrices, snf_by_minors,
+    unseeded_dd_steps)
 
 REFERENCE_BASIS = (
     (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0),
@@ -107,6 +108,105 @@ def test_hilbert_basis_makes_one_dd_pass(monkeypatch, random100):
     for k, c in enumerate(random100[:10], start=1):
         hilbert_basis(c.matrix)
         assert calls == {"_dd_steps": k}
+
+
+# ---------------------------------------------------------------- orthant start
+
+
+def _unit_prefix(gens):
+    """Length of the leading run of distinct unit vectors."""
+    run = []
+    for g in gens:
+        if sorted(g) != [0] * (len(g) - 1) + [1] or g in run:
+            break
+        run.append(g)
+    return len(run)
+
+
+def _states(steps):
+    """Each step's raised flag, cut rays with their pairings, rays and
+    lineality basis, copied as they are yielded."""
+    return [(raised, [((v, z), p) for (v, z), p in cut],
+             [(v, z) for v, z in rays], list(lin))
+            for raised, cut, rays, lin in steps]
+
+
+def assert_seeded_pass_matches_unseeded(gens, dim):
+    seeded = _states(cones._dd_steps(gens, dim))
+    unseeded = _states(unseeded_dd_steps(gens, dim))
+    k = _unit_prefix(gens)
+    assert len(seeded) == len(unseeded) == len(gens)
+    assert [s[:2] for s in seeded] == [u[:2] for u in unseeded]
+    assert seeded[k:] == unseeded[k:]
+    # during the prefix the yielded lists are already the post-prefix ones
+    for s in seeded[:k]:
+        assert s[2:] == unseeded[k - 1][2:]
+    return k
+
+
+def assert_orthant_start_changes_nothing(m, monkeypatch):
+    rc = rees_cone(m)
+    gens = _insertion_order(rc.cone.generators)
+    # a Rees cone's insertion order starts with its n unit vectors
+    assert assert_seeded_pass_matches_unseeded(gens, rc.cone.dim) == m.n
+
+    def results():
+        return (_placing_triangulation(gens, rc.cone.dim), basis_and_facets(rc),
+                facet_normals(rc.cone))
+
+    seeded = results()
+    with monkeypatch.context() as mp:
+        mp.setattr(cones, "_dd_steps", unseeded_dd_steps)
+        mp.setattr(hilbert, "_dd_steps", unseeded_dd_steps)
+        assert results() == seeded
+
+
+ORTHANT_FAMILIES = {
+    "random100": lambda fx: [c.matrix for c in fx("random100")],
+    "corpus": lambda fx: [clutter_from_edges(n, edges).matrix
+                          for n, edges in TRIANGULATION_CORPUS.values()],
+    "general": lambda fx: random_exponent_matrices(150, seed=20261018),
+    "scan4x4": lambda fx: [c.matrix for c in enumerate_clutters(4, 4)],
+    "scan5x3": lambda fx: [c.matrix for c in enumerate_clutters(5, 3)],
+}
+
+
+@pytest.mark.parametrize("family", ORTHANT_FAMILIES)
+def test_orthant_start_matches_the_unseeded_pass(request, monkeypatch, family):
+    for m in ORTHANT_FAMILIES[family](request.getfixturevalue):
+        assert_orthant_start_changes_nothing(m, monkeypatch)
+
+
+# constraint lists that do not start with a run of distinct unit vectors,
+# or leave it early, with the length of the run the seeded pass skips
+OFF_ORTHANT_LISTS = {
+    "repeated_unit": ([(1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)], 1),
+    "unit_after_non_unit": ([(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 0),
+    "proper_subspace_then_unit": ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 2),
+    "proper_subspace": ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 2),
+    "negative_unit": ([(-1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)], 0),
+    "no_unit": ([(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)], 0),
+    "units_out_of_order": ([(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1)], 3),
+    "all_units_then_mixed": ([(0, 1), (1, 0), (1, -1), (2, 3)], 2),
+    "one_dimension": ([(1,), (2,), (-1,)], 1),
+    "empty": ([], 0),
+}
+
+
+@pytest.mark.parametrize("name", OFF_ORTHANT_LISTS)
+def test_orthant_start_off_the_orthant(name):
+    gens, run = OFF_ORTHANT_LISTS[name]
+    assert assert_seeded_pass_matches_unseeded(gens, len(gens[0]) if gens else 3) == run
+
+
+def test_proper_subspace_is_caught_after_the_prefix(monkeypatch):
+    for gens, _ in (OFF_ORTHANT_LISTS["proper_subspace_then_unit"],
+                    OFF_ORTHANT_LISTS["proper_subspace"]):
+        for steps in (cones._dd_steps, unseeded_dd_steps):
+            monkeypatch.setattr(hilbert, "_dd_steps", steps)
+            with pytest.raises(InconsistencyError,
+                               match="placing step inside a proper subspace"):
+                _placing_triangulation(gens, 3)
 
 
 # ---------------------------------------------------------------- parallelepipeds

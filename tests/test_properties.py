@@ -16,6 +16,7 @@ from mfmckit.clutters import (
     minor,
     packing_property,
 )
+from mfmckit import cones
 from mfmckit.cones import (
     attach_facets,
     cone_member,
@@ -30,7 +31,8 @@ from mfmckit.linalg import dot
 from mfmckit.reporting import analyze, parse_input, report_from_json, report_to_json
 
 from oracles import (
-    brute_alpha0, brute_beta1, decomposes, tdi_integral_max, vertex_to_facet_normal)
+    brute_alpha0, brute_beta1, decomposes, tdi_integral_max, unseeded_dd_steps,
+    vertex_to_facet_normal)
 
 
 @st.composite
@@ -64,6 +66,31 @@ def matrices(draw):
 def test_dual_of_dual_restores_generators(c):
     cone = rees_cone(c.matrix).cone
     assert set(dualize(dualize(cone)).generators) == set(cone.generators)
+
+
+@st.composite
+def constraint_lists(draw):
+    """A dimension up to 5 and non-zero integer constraints, led by unit
+    vectors (possibly repeated, possibly none) drawn in any order."""
+    dim = draw(st.integers(1, 5))
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    lead = draw(st.lists(st.sampled_from(units), max_size=dim + 1))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    return dim, lead + draw(st.lists(vec, min_size=1, max_size=6))
+
+
+def _final_state(steps):
+    for _, _, rays, lin in steps:
+        pass
+    return [(v, z) for v, z in rays], list(lin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_lists())
+def test_orthant_start_keeps_the_final_double_description(case):
+    dim, constraints = case
+    assert (_final_state(cones._dd_steps(constraints, dim))
+            == _final_state(unseeded_dd_steps(constraints, dim)))
 
 
 @settings(max_examples=40, deadline=None)
