@@ -42,6 +42,7 @@ from .decisions import (
     ScanReport,
     TdiReport,
     Verdict,
+    class_scan,
     conjecture_scan,
     decide_mfmc,
     gr_reduced,

@@ -6,9 +6,9 @@ import argparse
 import json
 import sys
 
-from .clutters import MINOR_CAP, enumerate_clutters
+from .clutters import MINOR_CAP
 from .cones import qa_vertices_via_rees, support_hyperplanes
-from .decisions import conjecture_scan, decide_mfmc
+from .decisions import class_scan, decide_mfmc
 from .errors import ClassificationError, InconsistencyError, MfmcError, SizeLimit
 from .hilbert import hilbert_basis
 from .reporting import (
@@ -60,8 +60,7 @@ def _cmd_view(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    family = enumerate_clutters(args.max_vertices, args.max_edges)
-    report = conjecture_scan(family)
+    report = class_scan(args.max_vertices, args.max_edges)
     note = "bounded evidence only; the underlying conjectures stay open"
     if args.format == "json":
         _emit(json.dumps(dict(scan_to_dict(report), note=note), indent=2, sort_keys=True))

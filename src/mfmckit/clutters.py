@@ -8,11 +8,13 @@ so the same type carries general monomial ideals when entries exceed 1.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cache
 from math import comb, factorial, prod
-from operator import index, le
+from operator import ge, index, le
 
-from .errors import EmptyEdge, NotAntichain, NotZeroOne, OverlappingSpec, Record, SizeLimit
+from .errors import (
+    EmptyEdge, InconsistencyError, NotAntichain, NotZeroOne, OverlappingSpec, Record, SizeLimit)
 from .linalg import _minimal_solutions
 
 MINOR_CAP = 3 ** 12
@@ -116,18 +118,24 @@ class Clutter(Record):
         return tuple(tuple(self.labels[i] for i in e) for e in self.edges)
 
 
-def _canonical_key(c: Clutter) -> tuple:
-    """A key that is equal for two clutters exactly when one is a vertex
-    relabelling of the other.
+def _key_and_automorphisms(c: Clutter) -> tuple:
+    """(key, automorphisms): a key that is equal for two clutters exactly
+    when one is a vertex relabelling of the other, and the order of the
+    clutter's vertex automorphism group.
 
     The smaller side (the vertices if n <= q, else the edges) is ordered
     by an invariant and relabelled only within blocks of equal invariant:
     for a vertex, the sorted sizes of its edges; for an edge, the sorted
     degrees of its vertices.  The key is (n, q) and the least sorted
-    tuple of the other side's bitmasks.  Past RELABEL_CAP relabellings
-    only the given labelling is tried.  Either way the masks give the
-    clutter up to relabelling, so equal keys always mean isomorphic
-    clutters; past the cap, isomorphic copies may get different keys."""
+    tuple of the other side's bitmasks.  The relabellings that give that
+    least tuple are a coset of the automorphisms the side sees, so their
+    count is the group order; an edge relabelling fixes each vertex
+    among its twins (vertices on the same edges), so there the count is
+    multiplied by the factorial of each twin class's size.  Past
+    RELABEL_CAP relabellings only the given labelling is tried and the
+    count is None.  Either way the masks give the clutter up to
+    relabelling, so equal keys always mean isomorphic clutters; past the
+    cap, isomorphic copies may get different keys."""
     cols = c.matrix.columns
     rows = tuple(zip(*cols))
     side, other = (rows, cols) if len(rows) <= len(cols) else (cols, rows)
@@ -136,22 +144,34 @@ def _canonical_key(c: Clutter) -> tuple:
     for x, incidence in enumerate(side):
         blocks.setdefault(tuple(sorted(itertools.compress(sizes, incidence))), []).append(x)
     order = [blocks[k] for k in sorted(blocks)]
+    capped = False
     if len(order) == len(side):  # singleton blocks: the one relabelling
         relabellings = [order]
     elif prod(factorial(len(b)) for b in order) > RELABEL_CAP:
-        relabellings = [[range(len(side))]]
+        relabellings, capped = [[range(len(side))]], True
     else:  # product() lists each block's permutations up front
         relabellings = itertools.product(*map(itertools.permutations, order))
     powers = [1 << p for p in range(len(side))]
     bits = [0] * len(side)
-    best = None
+    best, count = None, 0
     for choice in relabellings:
         for x, bit in zip(itertools.chain.from_iterable(choice), powers):
             bits[x] = bit
         form = tuple(sorted([sum(itertools.compress(bits, incidence)) for incidence in other]))
         if best is None or form < best:
-            best = form
-    return len(rows), len(cols), best
+            best, count = form, 1
+        elif form == best:
+            count += 1
+    if capped:
+        count = None
+    elif side is cols:
+        count *= prod(map(factorial, Counter(rows).values()))
+    return (len(rows), len(cols), best), count
+
+
+def _canonical_key(c: Clutter) -> tuple:
+    """The isomorphism-class key of _key_and_automorphisms."""
+    return _key_and_automorphisms(c)[0]
 
 
 def _trusted_clutter(rows, labels) -> Clutter:
@@ -337,19 +357,18 @@ def packing_property(c: Clutter, cap: int = MINOR_CAP, covers=None):
     return True, None
 
 
-def enumerate_clutters(max_vertices: int, max_edges: int):
-    """Yield every clutter on 1..max_vertices labeled vertices with at
-    most max_edges edges, in a deterministic order.
+def _antichain_walk(max_vertices: int, max_edges: int):
+    """Yield (n, rows) for every clutter on 1..max_vertices labeled
+    vertices with at most max_edges edges, in enumerate_clutters' order:
+    rows are its 0/1 edge rows in the order the walk picked them.
 
-    Isolated vertices are disallowed, so each family appears exactly
-    once (at the vertex count it actually uses).  For each n and edge
-    count k, one depth-first pass picks k non-empty subsets in
-    itertools.combinations order, each incomparable with those already
-    picked, so only antichains are visited.  Their number is bounded by
-    the C(2^n - 1, k) candidate families for each n and k <= max_edges,
-    whose count, summed vertex count by vertex count until it passes the
-    cap, must stay within ENUMERATION_CAP.  The walk's rows are 0/1
-    antichains by construction, so each clutter is built unchecked."""
+    For each n and edge count k, one depth-first pass picks k non-empty
+    subsets in itertools.combinations order, each incomparable with those
+    already picked, and keeps the families that cover all n vertices, so
+    only antichains are visited.  Their number is bounded by the
+    C(2^n - 1, k) candidate families for each n and k <= max_edges, whose
+    count, summed vertex count by vertex count until it passes the cap,
+    must stay within ENUMERATION_CAP."""
     candidates = 0
     for n in range(1, max_vertices + 1):
         if candidates > ENUMERATION_CAP:
@@ -362,7 +381,6 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
         subsets = [e for k in range(1, n + 1) for e in itertools.combinations(range(n), k)]
         masks = [sum(1 << i for i in e) for e in subsets]
         rows = [tuple([1 if i in e else 0 for i in range(n)]) for e in subsets]
-        labels = _default_labels(n)
         full = (1 << n) - 1
         top = min(max_edges, len(subsets))
         # later[i]: the later subsets incomparable with subset i, as a bitmask;
@@ -383,7 +401,7 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
                     chosen, free, union, left = stack.pop()
                     if not left:
                         if union == full:
-                            yield _trusted_clutter(chosen, labels)
+                            yield n, chosen
                     elif free.bit_count() >= left:
                         low = free & -free
                         free ^= low
@@ -391,3 +409,42 @@ def enumerate_clutters(max_vertices: int, max_edges: int):
                         stack.append((chosen, free, union, left))
                         stack.append((chosen + (rows[j],), free & later[j],
                                       union | masks[j], left - 1))
+
+
+def enumerate_clutters(max_vertices: int, max_edges: int):
+    """Yield every clutter on 1..max_vertices labeled vertices with at
+    most max_edges edges, in a deterministic order.
+
+    Isolated vertices are disallowed, so each family appears exactly
+    once (at the vertex count it actually uses).  The families come from
+    _antichain_walk, under its ENUMERATION_CAP check; its rows are 0/1
+    antichains by construction, so each clutter is built unchecked."""
+    for n, rows in _antichain_walk(max_vertices, max_edges):
+        yield _trusted_clutter(rows, _default_labels(n))
+
+
+def _clutter_classes(max_vertices: int, max_edges: int):
+    """Yield (key, clutter, copies) once for each isomorphism class of
+    enumerate_clutters(max_vertices, max_edges): its canonical key, its
+    first member with non-increasing vertex degrees in walk order, and
+    its n!/|Aut| labelled members there.
+
+    Every class has such a member (sort its vertices by degree), so only
+    those families are built and keyed.  A copy count needs the exact
+    automorphism count, so a key past RELABEL_CAP raises
+    InconsistencyError; within ENUMERATION_CAP min(n, q) <= 6 and the
+    key never is."""
+    seen = set()
+    for n, rows in _antichain_walk(max_vertices, max_edges):
+        degrees = [*map(sum, zip(*rows))]
+        if not all(map(ge, degrees, degrees[1:])):
+            continue
+        c = _trusted_clutter(rows, _default_labels(n))
+        key, automorphisms = _key_and_automorphisms(c)
+        if automorphisms is None:
+            raise InconsistencyError(
+                f"class key of {c.edges} is past RELABEL_CAP = {RELABEL_CAP}: "
+                "its labelled copies cannot be counted")
+        if key not in seen:
+            seen.add(key)
+            yield key, c, factorial(n) // automorphisms

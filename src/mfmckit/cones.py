@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import index
 
 from .errors import ClassificationError, Record, SizeLimit, ZeroCone
@@ -212,6 +212,17 @@ def rees_cone(m) -> ReesCone:
     return ReesCone(m, cone, frozenset(axes))
 
 
+def _sorted_fractions(points) -> tuple:
+    """The points x/d, given as integer tuples (d, *x) with d > 0, as
+    sorted tuples of Fractions.  Scaled by the lcm L of the denominators,
+    x * (L // d) is an integer vector in the same order, so the sort
+    compares integers, not Fractions."""
+    points = list(points)
+    scale = lcm(*(d for d, *_ in points))
+    points.sort(key=lambda p: tuple([x * (scale // p[0]) for x in p[1:]]))
+    return tuple(tuple(Fraction(x, d) for x in point) for d, *point in points)
+
+
 class FacetClassification(Record):
     """Facets of a Rees cone split into coordinate and vertex families."""
 
@@ -229,12 +240,8 @@ class FacetClassification(Record):
         return tuple(sorted(self.unit_rows() + self.vertex_normals))
 
     def qa_vertices(self):
-        """Recover the covering-polyhedron vertices alpha'/b."""
-        out = []
-        for f in self.vertex_normals:
-            b = -f[-1]
-            out.append(tuple(Fraction(x, b) for x in f[:-1]))
-        return tuple(sorted(out))
+        """Recover the covering-polyhedron vertices alpha'/b, sorted."""
+        return _sorted_fractions((-f[-1], *f[:-1]) for f in self.vertex_normals)
 
 
 def classify_facets(rc: ReesCone, normals) -> FacetClassification:
@@ -315,8 +322,7 @@ def qa_vertices_direct(m) -> QAPolyhedron:
                     for i, v in zip(t, x):
                         point[i] = v // g
                     found.add((d // g, *point))
-    vertices = (tuple(Fraction(v, d) for v in point) for d, *point in found)
-    return QAPolyhedron(m, tuple(sorted(vertices)))
+    return QAPolyhedron(m, _sorted_fractions(found))
 
 
 def qa_vertices_via_rees(m) -> QAPolyhedron:

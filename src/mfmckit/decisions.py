@@ -16,13 +16,16 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 from operator import le
+from types import MappingProxyType
 
 from .clutters import (
     Clutter,
     MINOR_CAP,
     MinorSpec,
     _canonical_key,
+    _clutter_classes,
     _disjoint_edges,
+    enumerate_clutters,
     minimal_vertex_covers,
     packing_property,
 )
@@ -102,12 +105,17 @@ class Verdict(Record):
     # lattice torsion of Z^(n+1)/<(v_j, 1)>, not "normally torsion free" (ntf)
     torsion_free: bool
     ntf: bool
-    witnesses: dict = None  # None: a fresh empty dict
+    witnesses: dict = None  # held as a read-only view of a copy; None: empty
     i_max_checked: int = 3
 
     def __post_init__(self):
-        if self.witnesses is None:
-            object.__setattr__(self, "witnesses", {})
+        object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses or {})))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: rebuild from a plain dict
+        values = [getattr(self, n) for n in self._fields]
+        values[self._fields.index("witnesses")] = dict(self.witnesses)
+        return type(self), tuple(values)
 
 
 class NtfResult(Record):
@@ -325,6 +333,41 @@ def _scan_facts(c: Clutter) -> tuple:
     return True, normal, uniform, uniform and smith_invariants(c.matrix).torsion_free
 
 
+def _tally(classes, members) -> ScanReport:
+    """The scan report over classes, a dict from each class key to the
+    class's _scan_facts and its number of labelled members.  members
+    yields (key, clutter) for every labelled member in family order; it
+    is read only when some class is a counterexample, to list each of
+    that class's members."""
+    total = packing_true = reduced_ok = uniform_tested = torsion_ok = 0
+    bad_reduced, bad_torsion = set(), set()
+    for key, ((packing, normal, uniform, torsion_free), copies) in classes.items():
+        total += copies
+        if not packing:
+            continue
+        packing_true += copies
+        if normal:
+            reduced_ok += copies
+        else:
+            bad_reduced.add(key)
+        if uniform:
+            uniform_tested += copies
+            if torsion_free:
+                torsion_ok += copies
+            else:
+                bad_torsion.add(key)
+    listed = tuple(members) if bad_reduced or bad_torsion else ()
+    return ScanReport(
+        total,
+        packing_true,
+        reduced_ok,
+        tuple(c for key, c in listed if key in bad_reduced),
+        uniform_tested,
+        torsion_ok,
+        tuple(c for key, c in listed if key in bad_torsion),
+    )
+
+
 def conjecture_scan(family) -> ScanReport:
     """Bounded evidence scan over a family of clutters: packing clutters
     are tested for a reduced associated graded ring, and those with
@@ -336,34 +379,22 @@ def conjecture_scan(family) -> ScanReport:
     is invariant under relabelling the vertices, so it is computed once
     per isomorphism class; every labelled clutter still counts and is
     listed."""
-    total = packing_true = reduced_ok = uniform_tested = torsion_ok = 0
-    bad_reduced, bad_torsion = [], []
-    known = {}
-    for c in family:
-        total += 1
-        key = _canonical_key(c)
-        if key not in known:
-            known[key] = _scan_facts(c)
-        packing, normal, uniform, torsion_free = known[key]
-        if not packing:
-            continue
-        packing_true += 1
-        if normal:
-            reduced_ok += 1
-        else:
-            bad_reduced.append(c)
-        if uniform:
-            uniform_tested += 1
-            if torsion_free:
-                torsion_ok += 1
-            else:
-                bad_torsion.append(c)
-    return ScanReport(
-        total,
-        packing_true,
-        reduced_ok,
-        tuple(bad_reduced),
-        uniform_tested,
-        torsion_ok,
-        tuple(bad_torsion),
-    )
+    keyed = [(_canonical_key(c), c) for c in family]
+    classes = {}
+    for key, c in keyed:
+        facts, copies = classes.get(key) or (_scan_facts(c), 0)
+        classes[key] = facts, copies + 1
+    return _tally(classes, keyed)
+
+
+def class_scan(max_vertices: int, max_edges: int) -> ScanReport:
+    """conjecture_scan(enumerate_clutters(max_vertices, max_edges)) with
+    one clutter analysed per isomorphism class, counted n!/|Aut| times,
+    its labelled copies in the walk; only the families with non-increasing
+    vertex degrees are keyed.  Only when a class is a counterexample does
+    the labelled walk run again, keying each clutter, to list that class's
+    members in walk order."""
+    classes = {key: (_scan_facts(c), copies)
+               for key, c, copies in _clutter_classes(max_vertices, max_edges)}
+    return _tally(classes, ((_canonical_key(c), c)
+                            for c in enumerate_clutters(max_vertices, max_edges)))

@@ -272,6 +272,29 @@ def test_scan_counterexamples(capsys, monkeypatch):
     }, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("bounds", [(4, 4), (5, 3)], ids=["scan4x4", "scan5x3"])
+def test_scan_of_failing_classes_matches_the_labelled_scan(capsys, monkeypatch, bounds):
+    # a Smith form reporting torsion for every even edge count fails whole
+    # classes; scan analyses one clutter per class, and its report lists
+    # the same labelled counterexamples, in the same order, as the scan of
+    # every labelled clutter
+    import mfmckit.decisions as decisions
+    from mfmckit.clutters import enumerate_clutters
+    from mfmckit.hilbert import SmithInvariants
+    from mfmckit.reporting import scan_to_dict
+
+    monkeypatch.setattr(decisions, "smith_invariants",
+                        lambda m: SmithInvariants((), 0, m.q % 2 == 1))
+    labelled = decisions.conjecture_scan(enumerate_clutters(*bounds))
+    assert labelled.torsion_counterexamples
+    rc, out, _ = run(capsys, ["scan", "--max-vertices", str(bounds[0]),
+                              "--max-edges", str(bounds[1]), "--format", "json"])
+    assert rc == 0
+    data = json.loads(out)
+    assert data.pop("note").startswith("bounded evidence only")
+    assert data == scan_to_dict(labelled)
+
+
 # ---------------------------------------------------------------- byte identity
 
 # sha256 of stdout, recorded before the input subcommands shared one handler

@@ -9,6 +9,7 @@ from mfmckit.clutters import (
     Clutter,
     ExponentMatrix,
     _canonical_key,
+    _clutter_classes,
     MinorSpec,
     NonMinor,
     all_minors,
@@ -25,6 +26,7 @@ from mfmckit.clutters import (
 from mfmckit.reporting import parse_input
 from mfmckit.errors import (
     EmptyEdge,
+    InconsistencyError,
     NotAntichain,
     NotZeroOne,
     OverlappingSpec,
@@ -479,3 +481,46 @@ def test_canonical_key_past_the_relabel_cap_is_the_labelled_clutter():
     # listed, and the key holds its own edge masks
     c25 = clutter_from_edges(25, [(i, (i + 1) % 25) for i in range(25)])
     assert _canonical_key(c25) == (25, 25, tuple(sorted(c25.edge_masks())))
+
+
+@pytest.mark.parametrize("bounds, classes, kept", [
+    ((3, 3), 8, 10), ((4, 4), 26, 52), ((5, 3), 48, 209), ((5, 31), 208, 959),
+    ((6, 2), 28, 105), ((7, 2), 41, 226), ((14, 1), 14, 14), ((6, 3), 112, 937)],
+    ids=["3x3", "4x4", "5x3", "5xall", "6x2", "7x2", "14x1", "6x3"])
+def test_class_copies_match_the_labelled_walk(monkeypatch, bounds, classes, kept):
+    # one member per class, counted n!/|Aut| times: the labelled walk's keys,
+    # counted, are the oracle.  On 6x2, 7x2, 14x1 and 6x3 the key permutes
+    # edges, and the count needs the twin-vertex factor
+    monkeypatch.setattr(clutters, "ENUMERATION_CAP", 2 ** 32)
+    labelled = Counter(_canonical_key(c) for c in enumerate_clutters(*bounds))
+    keyed = []
+    key_and_automorphisms = clutters._key_and_automorphisms
+    monkeypatch.setattr(clutters, "_key_and_automorphisms",
+                        lambda c: keyed.append(c) or key_and_automorphisms(c))
+    found = list(_clutter_classes(*bounds))
+    # the keys below are not the walk's
+    monkeypatch.setattr(clutters, "_key_and_automorphisms", key_and_automorphisms)
+    assert {key: copies for key, _, copies in found} == labelled
+    assert len(found) == classes
+    # only the families with non-increasing vertex degrees are keyed, and
+    # each class has one; its representative is the first in walk order
+    def sorted_degrees(c):
+        degrees = [sum(c.matrix.row(i)) for i in range(c.n)]
+        return degrees == sorted(degrees, reverse=True)
+    assert keyed == [c for c in enumerate_clutters(*bounds) if sorted_degrees(c)]
+    assert len(keyed) == kept
+    first = {}
+    for c in keyed:
+        first.setdefault(_canonical_key(c), c)
+    assert [(key, c) for key, c, _ in found] == list(first.items())
+
+
+def test_class_keys_past_the_relabel_cap_raise(monkeypatch):
+    # a copy count needs every relabelling of the key: with RELABEL_CAP = 1
+    # the two single-vertex edges on two vertices already need two
+    monkeypatch.setattr(clutters, "RELABEL_CAP", 1)
+    walk = _clutter_classes(4, 4)
+    assert next(walk)[1].edges == ((0,),)
+    with pytest.raises(InconsistencyError,
+                       match=r"class key of \(\(1,\), \(0,\)\) is past RELABEL_CAP = 1"):
+        list(walk)

@@ -248,6 +248,18 @@ def test_reduced_systems_match_the_full_subset_oracle(random100):
         assert qa_vertices_direct(m).vertices == basic_solution_vertices(m.n, m.columns)
 
 
+def test_vertex_lists_are_in_the_order_of_their_fractions(random100):
+    # both routes sort by the integer vectors L * v, L the lcm of the
+    # denominators, which order the vertices as their Fraction tuples do
+    mats = [c.matrix for c in random100] + random_exponent_matrices(150)
+    for m in mats:
+        for vertices in (qa_vertices_direct(m).vertices, qa_vertices_via_rees(m).vertices):
+            assert vertices == tuple(sorted(vertices))
+    assert cones._sorted_fractions([(3, 1, 0), (1, 0, 1), (2, 1, 1), (6, 1, 5)]) == (
+        (0, 1), (Fraction(1, 6), Fraction(5, 6)), (Fraction(1, 3), 0),
+        (Fraction(1, 2), Fraction(1, 2)))
+
+
 def test_no_edges_gives_the_origin():
     # q = 0 reaches only k = 0: the empty system, solved by x = 0
     m = SimpleNamespace(n=3, q=0, columns=())

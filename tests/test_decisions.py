@@ -20,6 +20,7 @@ from mfmckit.decisions import (
     ScanReport,
     TdiCounterexample,
     TdiReport,
+    class_scan,
     conjecture_scan,
     decide_mfmc,
     gr_reduced,
@@ -483,7 +484,8 @@ COUNTED = {"ordinary_power": ideals, "symbolic_power": ideals,
            "qa_vertices": FacetClassification,
            "minimal_vertex_covers": clutters, "minor": clutters,
            "matching_number": clutters, "semigroup_member": hilbert,
-           "packing_property": clutters, "_disjoint_edges": clutters}
+           "packing_property": clutters, "_disjoint_edges": clutters,
+           "_key_and_automorphisms": clutters}
 
 
 def count_calls(monkeypatch) -> Counter:
@@ -662,6 +664,37 @@ def test_full_five_vertex_scan(monkeypatch):
     assert calls["packing_property"] == 0
 
 
+@pytest.mark.parametrize("bounds, report, keys, classes", [
+    ((4, 4), ScanReport(119, 75, 75, (), 34, 34, ()), 52, 26),
+    ((5, 3), ScanReport(975, 647, 647, (), 157, 157, ()), 209, 48),
+    ((5, 31), ScanReport(7020, 1177, 1177, (), 370, 370, ()), 959, 208)],
+    ids=["scan4x4", "scan5x3", "scan5xall"])
+def test_class_scan_keys_the_degree_sorted_families(monkeypatch, bounds, report, keys,
+                                                     classes):
+    # the class scan keys only the families with non-increasing vertex
+    # degrees, analyses one per class and counts it n!/|Aut| times; no class
+    # is a counterexample, so the labelled walk does not run again
+    monkeypatch.setattr(clutters, "ENUMERATION_CAP", 2 ** 32)
+    calls = count_calls(monkeypatch)
+    assert class_scan(*bounds) == report
+    assert calls["_key_and_automorphisms"] == keys
+    assert calls["_dd_steps"] == calls["rees_cone"] == classes
+    assert calls["packing_property"] == calls["minimal_vertex_covers"] == 0
+
+
+def test_class_scan_past_the_relabel_cap_raises(monkeypatch, capsys):
+    # a class's copy count needs every relabelling of its key; past
+    # RELABEL_CAP it would be wrong, so the scan stops as a bug (exit 4)
+    monkeypatch.setattr(clutters, "RELABEL_CAP", 1)
+    with pytest.raises(InconsistencyError, match="past RELABEL_CAP = 1"):
+        class_scan(4, 4)
+    assert main(["scan", "--max-vertices", "2", "--max-edges", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "internal error: class key of ((1,), (0,)) is past RELABEL_CAP = 1: "
+        "its labelled copies cannot be counted\n")
+
+
 @pytest.mark.parametrize("bounds", [(4, 4), (5, 3)], ids=["scan4x4", "scan5x3"])
 def test_scan_lists_every_member_of_a_failing_class(monkeypatch, bounds):
     # a Smith form reporting torsion for every even edge count fails whole
@@ -687,6 +720,11 @@ def test_scan_lists_every_member_of_a_failing_class(monkeypatch, bounds):
     classes = {clutters._canonical_key(c) for c in uniform}
     assert len(smith_calls) == len(classes) < len(uniform)
     assert len({clutters._canonical_key(c) for c in bad}) < len(bad)
+    # the class scan lists the same members: it walks the labelled
+    # clutters again for the failing classes
+    del smith_calls[:]
+    assert class_scan(*bounds) == report
+    assert len(smith_calls) == len(classes)
 
 
 def test_scan_past_the_relabel_cap_analyses_each_copy(monkeypatch):

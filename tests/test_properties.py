@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,12 +12,13 @@ from mfmckit.clutters import (
     MinorSpec,
     clutter_from_edges,
     covering_number,
+    enumerate_clutters,
     koenig,
     matching_number,
     minor,
     packing_property,
 )
-from mfmckit import cones
+from mfmckit import cones, decisions
 from mfmckit.cones import (
     attach_facets,
     cone_member,
@@ -25,7 +27,7 @@ from mfmckit.cones import (
     rees_cone,
     support_hyperplanes,
 )
-from mfmckit.hilbert import hilbert_basis, semigroup_member, smith_invariants
+from mfmckit.hilbert import SmithInvariants, hilbert_basis, semigroup_member, smith_invariants
 from mfmckit.ideals import closure_power, membership, ordinary_power, symbolic_power
 from mfmckit.linalg import dot
 from mfmckit.reporting import analyze, parse_input, report_from_json, report_to_json
@@ -233,3 +235,23 @@ def test_report_json_round_trip(c, dialect, i_max, tdi_bound):
     assert doc.source_format == dialect and doc.matrix == c.matrix
     report = analyze(doc, i_max=i_max, tdi_bound=tdi_bound)
     assert report_from_json(report_to_json(report)) == report
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([None, 0, 1]),
+       st.sampled_from([None, 0, 1, 2]))
+def test_class_scan_reports_what_the_labelled_scan_does(max_vertices, max_edges,
+                                                        torsion, abnormal):
+    # the facts may be made to fail for whole classes, by edge count (which
+    # relabelling keeps): torsion when q % 2 == torsion, a non-normal Rees
+    # algebra when q % 3 == abnormal; the class scan then lists every member
+    # of the failing classes, in walk order
+    normality, smith = decisions.normality, decisions.smith_invariants
+    with mock.patch.object(decisions, "smith_invariants",
+                           lambda m: SmithInvariants((2,), 1, False)
+                           if m.q % 2 == torsion else smith(m)), \
+            mock.patch.object(decisions, "normality",
+                              lambda rc, basis: (False, None)
+                              if rc.base.q % 3 == abnormal else normality(rc, basis)):
+        assert (decisions.class_scan(max_vertices, max_edges)
+                == decisions.conjecture_scan(enumerate_clutters(max_vertices, max_edges)))

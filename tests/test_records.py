@@ -165,3 +165,17 @@ def test_verdicts_get_fresh_witness_dicts():
     assert a.witnesses == b.witnesses == {} and a.witnesses is not b.witnesses
     assert a.i_max_checked == 3
     assert Verdict(*[False] * 7, {"normal": (1,)}).witnesses == {"normal": (1,)}
+
+
+def test_verdict_witnesses_are_read_only():
+    # a frozen Verdict holds a read-only view of a copy of its witnesses:
+    # neither the view nor the caller's dict changes it
+    given = {"normal": (1,)}
+    v = Verdict(*[False] * 7, given)
+    with pytest.raises(TypeError):
+        v.witnesses["koenig"] = (2, 1)
+    with pytest.raises(TypeError):
+        del v.witnesses["normal"]
+    given["koenig"] = (2, 1)
+    assert v.witnesses == {"normal": (1,)}
+    assert v == Verdict(*[False] * 7, {"normal": (1,)})

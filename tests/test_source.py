@@ -144,7 +144,8 @@ def _called(node):
 
 def test_trusted_builders_wrap_only_the_package_s_own_output():
     # Record._trusted skips __post_init__, so only what the package built
-    # may go through it: the antichain walk's rows, the Rees cone's
+    # may go through it: the antichain walk's rows (for the labelled
+    # clutters and the class representatives), the Rees cone's
     # generators, minor's edges and the power searches' generators
     trusted = {"_trusted", "_trusted_clutter"}
     sites, graph = [], {}
@@ -164,8 +165,8 @@ def test_trusted_builders_wrap_only_the_package_s_own_output():
                 graph.setdefault(fn.name, set()).update(_called(fn))
                 if _called(fn) & trusted:
                     sites.append(f"{path.stem}.{name}")
-    assert sorted(sites) == ["clutters._trusted_clutter", "clutters.enumerate_clutters",
-                             "clutters.minor", "cones.rees_cone",
+    assert sorted(sites) == ["clutters._clutter_classes", "clutters._trusted_clutter",
+                             "clutters.enumerate_clutters", "clutters.minor", "cones.rees_cone",
                              "ideals.closure_power", "ideals.symbolic_power"]
     # the parser and every checking constructor reach none of them, even
     # with every call of a name taken to reach each definition of it
