@@ -24,6 +24,7 @@ from .linalg import _scaled_solve, dot, primitive
 
 QA_ENUM_CAP = 1_000_000
 RAY_CAP = 100_000
+_ZERO = Fraction(0)
 
 
 class RationalCone(Record):
@@ -216,11 +217,12 @@ def _sorted_fractions(points) -> tuple:
     """The points x/d, given as integer tuples (d, *x) with d > 0, as
     sorted tuples of Fractions.  Scaled by the lcm L of the denominators,
     x * (L // d) is an integer vector in the same order, so the sort
-    compares integers, not Fractions."""
+    compares integers, not Fractions.  Zero entries share one Fraction."""
     points = list(points)
     scale = lcm(*(d for d, *_ in points))
     points.sort(key=lambda p: tuple([x * (scale // p[0]) for x in p[1:]]))
-    return tuple(tuple(Fraction(x, d) for x in point) for d, *point in points)
+    return tuple(tuple(Fraction(x, d) if x else _ZERO for x in point)
+                 for d, *point in points)
 
 
 class FacetClassification(Record):

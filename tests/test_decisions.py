@@ -642,16 +642,22 @@ def test_scan_makes_one_pass_per_clutter(monkeypatch):
     # so packing comes off the one pass and no cover or minor search runs;
     # integrality comes off the vertex-facet lifts, so no vertex is built;
     # the facts hold for every relabelling, so one pass serves each
-    # isomorphism class: 26 classes among 119 clutters, 48 among 975
+    # isomorphism class: 26 classes among 119 clutters, 48 among 975.  The
+    # class scan keys only the families with non-increasing vertex degrees,
+    # 52 and 209, and no class is a counterexample, so it walks the
+    # labelled clutters no second time
     calls = count_calls(monkeypatch)
-    for bounds, report, classes in [
-            ((4, 4), ScanReport(119, 75, 75, (), 34, 34, ()), 26),
-            ((5, 3), ScanReport(975, 647, 647, (), 157, 157, ()), 48)]:
-        assert conjecture_scan(enumerate_clutters(*bounds)) == report
-        assert calls["_dd_steps"] == calls["rees_cone"] == classes
-        assert calls["packing_property"] == calls["minimal_vertex_covers"] == 0
-        assert calls["qa_vertices"] == calls["qa_vertices_direct"] == 0
-        calls.clear()
+    for bounds, report, classes, keys in [
+            ((4, 4), ScanReport(119, 75, 75, (), 34, 34, ()), 26, 52),
+            ((5, 3), ScanReport(975, 647, 647, (), 157, 157, ()), 48, 209)]:
+        for scan, keyed in [(lambda: conjecture_scan(enumerate_clutters(*bounds)), report.total),
+                            (lambda: class_scan(*bounds), keys)]:
+            assert scan() == report
+            assert calls["_key_and_automorphisms"] == keyed
+            assert calls["_dd_steps"] == calls["rees_cone"] == classes
+            assert calls["packing_property"] == calls["minimal_vertex_covers"] == 0
+            assert calls["qa_vertices"] == calls["qa_vertices_direct"] == 0
+            calls.clear()
 
 
 def test_full_five_vertex_scan(monkeypatch):
@@ -662,24 +668,12 @@ def test_full_five_vertex_scan(monkeypatch):
     assert report == ScanReport(7020, 1177, 1177, (), 370, 370, ())
     assert calls["_dd_steps"] == calls["rees_cone"] == 208
     assert calls["packing_property"] == 0
-
-
-@pytest.mark.parametrize("bounds, report, keys, classes", [
-    ((4, 4), ScanReport(119, 75, 75, (), 34, 34, ()), 52, 26),
-    ((5, 3), ScanReport(975, 647, 647, (), 157, 157, ()), 209, 48),
-    ((5, 31), ScanReport(7020, 1177, 1177, (), 370, 370, ()), 959, 208)],
-    ids=["scan4x4", "scan5x3", "scan5xall"])
-def test_class_scan_keys_the_degree_sorted_families(monkeypatch, bounds, report, keys,
-                                                     classes):
-    # the class scan keys only the families with non-increasing vertex
-    # degrees, analyses one per class and counts it n!/|Aut| times; no class
-    # is a counterexample, so the labelled walk does not run again
-    monkeypatch.setattr(clutters, "ENUMERATION_CAP", 2 ** 32)
-    calls = count_calls(monkeypatch)
-    assert class_scan(*bounds) == report
-    assert calls["_key_and_automorphisms"] == keys
-    assert calls["_dd_steps"] == calls["rees_cone"] == classes
-    assert calls["packing_property"] == calls["minimal_vertex_covers"] == 0
+    # the class scan keys the 959 families with non-increasing degrees
+    calls.clear()
+    assert class_scan(5, 31) == report
+    assert calls["_key_and_automorphisms"] == 959
+    assert calls["_dd_steps"] == calls["rees_cone"] == 208
+    assert calls["packing_property"] == 0
 
 
 def test_class_scan_past_the_relabel_cap_raises(monkeypatch, capsys):
