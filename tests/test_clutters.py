@@ -489,8 +489,9 @@ def test_canonical_key_past_the_relabel_cap_is_the_labelled_clutter():
     ids=["3x3", "4x4", "5x3", "5xall", "6x2", "7x2", "14x1", "6x3"])
 def test_class_copies_match_the_labelled_walk(monkeypatch, bounds, classes, kept):
     # one member per class, counted n!/|Aut| times: the labelled walk's keys,
-    # counted, are the oracle.  On 6x2, 7x2, 14x1 and 6x3 the key permutes
-    # edges, and the count needs the twin-vertex factor
+    # counted, are the oracle.  Where q < n the key permutes edges and the
+    # count needs the twin-vertex factor; 6x2, 7x2, 14x1 and 6x3 miscount
+    # without it
     monkeypatch.setattr(clutters, "ENUMERATION_CAP", 2 ** 32)
     labelled = Counter(_canonical_key(c) for c in enumerate_clutters(*bounds))
     keyed = []
