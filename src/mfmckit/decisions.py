@@ -32,8 +32,8 @@ from .clutters import (
 from .cones import classify_facets, facet_normals, is_integral_qa, rees_cone
 from .errors import InconsistencyError, Record, SizeLimit
 from .hilbert import basis_and_facets, normality, smith_invariants
-from .ideals import (
-    _as_clutter, closure_power, ideal_equal, membership, ordinary_power, symbolic_power)
+from .ideals import (_as_clutter, _column_sums, _symbolic_points, closure_power, ideal_equal,
+                     ordinary_power, symbolic_power)
 from .linalg import dot
 
 TDI_BOX_CAP = 1_000_000
@@ -44,7 +44,8 @@ class Analysis:
     and kept: the Rees cone, its facets, whether Q(A) is integral (read
     off the vertex normals), its vertex list (only to be printed, or for
     a witness or a gap's rational value), the minimal vertex covers, the
-    Hilbert basis (its pass also fills the facets) and the powers."""
+    Hilbert basis (its pass also fills the facets) and the powers; a
+    symbolic power not kept reaches ntf_check as a stream, left unkept."""
 
     POWERS = {
         "ordinary": lambda a, i: ordinary_power(a.clutter.matrix, i),
@@ -154,16 +155,18 @@ def require_tdi_box(n: int, bound: int):
 def ntf_check(source, i_max: int = 3) -> NtfResult:
     """Compare ordinary and symbolic powers up to i_max.
 
-    I^i lies inside I^(i), so the powers differ exactly when a symbolic
-    generator is not ordinary; the least such one is the witness.  The
+    I^i lies inside I^(i), so the powers differ exactly when a generator
+    g of I^(i) is no sum of i edges (a sum s <= g lies in I^(i), so s =
+    g); the least such g is the witness, and neither power is built.  The
     comparison starts at i = 2: a square-free monomial ideal is the
     intersection of the primes of its minimal covers, so I^1 = I^(1)."""
     require_i_max(i_max)
     a = as_analysis(source)
     for i in range(2, i_max + 1):
-        ordinary = a.power("ordinary", i)
-        witness = next((g for g in a.power("symbolic", i).gens
-                        if not membership(g, ordinary)), None)
+        sums = set(_column_sums(a.clutter.matrix, i))
+        kept = a._powers.get(("symbolic", i))
+        gens = kept.gens if kept else _symbolic_points(a.clutter, i, a.covers)
+        witness = next((g for g in gens if g not in sums), None)
         if witness is not None:
             return NtfResult(False, i, witness)
     return NtfResult(True)

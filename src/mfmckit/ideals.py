@@ -2,7 +2,8 @@
 
 Monomials are exponent tuples; an ideal is its minimal generator set.
 Ordinary powers are minimalized column sums; the symbolic and closure
-powers come from the minimal-point search linalg._minimal_solutions.
+powers come from the minimal-point search linalg._minimal_points, and
+I^(i) also as a stream of its sorted generators, searched as it is read.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from operator import le
 from .clutters import Clutter, minimal_vertex_covers
 from .cones import support_hyperplanes
 from .errors import NotSquareFree, Record, SizeLimit
-from .linalg import _minimal_solutions
+from .linalg import _minimal_points, _minimal_solutions
 
 ORDINARY_CAP = 500_000
 
@@ -52,16 +53,19 @@ def ideal_equal(left: MonomialIdealGens, right: MonomialIdealGens) -> bool:
     return left.gens == right.gens
 
 
+def _column_sums(m, i: int) -> list:
+    """The C(q+i-1, i) i-fold sums of the generator columns, repeats kept."""
+    if (total := comb(m.q + i - 1, i)) > ORDINARY_CAP:
+        raise SizeLimit("ordinary power enumeration", total, ORDINARY_CAP)
+    return [tuple(map(sum, zip(*combo)))
+            for combo in itertools.combinations_with_replacement(m.columns, i)]
+
+
 def ordinary_power(m, i: int) -> MonomialIdealGens:
     """I^i: minimalized i-fold sums of the generator columns."""
     if i < 1:
         raise ValueError("power must be >= 1")
-    if (total := comb(m.q + i - 1, i)) > ORDINARY_CAP:
-        raise SizeLimit("ordinary power enumeration", total, ORDINARY_CAP)
-    sums = []
-    for combo in itertools.combinations_with_replacement(m.columns, i):
-        sums.append(tuple(map(sum, zip(*combo))))
-    return MonomialIdealGens(tuple(sums))
+    return MonomialIdealGens(tuple(_column_sums(m, i)))
 
 
 def _as_clutter(source) -> Clutter:
@@ -80,9 +84,14 @@ def symbolic_power(source, i: int, covers=None) -> MonomialIdealGens:
         raise ValueError("power must be >= 1")
     c = _as_clutter(source)
     covers = minimal_vertex_covers(c) if covers is None else covers
+    return MonomialIdealGens._trusted(tuple(_symbolic_points(c, i, covers)))
+
+
+def _symbolic_points(c: Clutter, i: int, covers):
+    """The generators of I^(i) in sorted order, as a stream: the search
+    runs only as far as they are read."""
     rows = [(tuple(int(v in cover) for v in range(c.n)), i) for cover in covers]
-    return MonomialIdealGens._trusted(_minimal_solutions(
-        rows, c.n, i, "symbolic power enumeration"))
+    return _minimal_points(rows, c.n, i, "symbolic power enumeration")
 
 
 def closure_power(m, i: int, facets=None) -> MonomialIdealGens:

@@ -120,15 +120,20 @@ def smith_invariant_factors(rows):
 
 
 def _minimal_solutions(rows, n: int, bound: int, stage: str):
-    """Minimal points of {a in {0..bound}^n : <alpha, a> >= r for every
-    row (alpha, r)}, alpha >= 0, in lexicographic order.
+    """The points _minimal_points yields, as a tuple."""
+    return tuple(_minimal_points(rows, n, bound, stage))
+
+
+def _minimal_points(rows, n: int, bound: int, stage: str):
+    """Yield the minimal points of {a in {0..bound}^n : <alpha, a> >= r
+    for every row (alpha, r)}, alpha >= 0, in lexicographic order.
 
     Depth first over the coordinates, as a loop.  a is minimal exactly
     when each a_k > 0 is critical: some row with alpha_k > 0 has slack
     below alpha_k.  Slacks only grow, so a branch, and the loop over larger a_k,
     stops once an earlier positive coordinate cannot be critical or a row
     is out of reach; the last coordinate takes its least feasible value.
-    SEARCH_CAP counts the nodes, fewer than the box's points."""
+    SEARCH_CAP counts the nodes as they are visited, fewer than the box's points."""
     # touch[k]: (row, alpha_k) for the rows k adds to; tight[k]: (row, alpha_k,
     # the most k+1.. can add) for the rows that k+1.. alone may leave unmet
     touch = [[(j, alpha[k]) for j, (alpha, _) in enumerate(rows) if alpha[k]]
@@ -137,7 +142,7 @@ def _minimal_solutions(rows, n: int, bound: int, stage: str):
               if (s := bound * sum(alpha[k + 1:])) < r] for k in range(n)]
     slack = [-r for _, r in rows]
     # k: the coordinate being set; placed: the touch lists of the positive ones set
-    a, out, placed, nodes, k, back = [0] * n, [], [], 0, 0, False
+    a, placed, nodes, k, back = [0] * n, [], 0, 0, False
 
     def critical():
         """Whether each placed coordinate is still critical."""
@@ -176,7 +181,7 @@ def _minimal_solutions(rows, n: int, bound: int, stage: str):
                 slack[j] += w * v
             deeper = k < n - 1
             if not deeper and critical():  # v > 0 is critical, since v - 1 leaves a row unmet
-                out.append(tuple(a))
+                yield tuple(a)
             if v:
                 placed.append(col)
         if deeper and critical():
@@ -188,4 +193,3 @@ def _minimal_solutions(rows, n: int, bound: int, stage: str):
             placed.pop()
         a[k] = 0
         k, back = k - 1, True
-    return tuple(out)

@@ -190,8 +190,9 @@ def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
     a = as_analysis(doc.clutter())
     if tdi_bound:
         require_tdi_box(a.clutter.n, tdi_bound)
-    verdict = decide_mfmc(a, i_max=i_max, minor_cap=minor_cap)
+    basis = a.basis  # first: its pass fills the facets the closure powers read
     powers = powers_table(a, i_max)
+    verdict = decide_mfmc(a, i_max=i_max, minor_cap=minor_cap)
     for row in powers:
         if verdict.mfmc and not row.ordinary_eq_symbolic:
             raise InconsistencyError(f"MFMC holds, but power {row.i} fails")
@@ -203,7 +204,7 @@ def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
     integrality_equivalences(a, i_max)
     tdi = tdi_bounded_check(a, tdi_bound) if tdi_bound else None
     vertices = QAPolyhedron(a.clutter.matrix, a.vertices)
-    return Report(doc, verdict, a.basis, a.facets, vertices, powers, tdi)
+    return Report(doc, verdict, basis, a.facets, vertices, powers, tdi)
 
 
 # ---------------------------------------------------------------- text

@@ -9,7 +9,9 @@ the package's facet_normals instead of reading the incremental pass.
 The recursive searches are the package's earlier forms of its search
 loops, kept to pin the loops' output order and node counts, and
 unseeded_dd_steps is the double description pass before its orthant
-start, kept to pin every step of the seeded pass.
+start, kept to pin every step of the seeded pass.  full_power_ntf_check
+is the ntf check before it stopped at the witness: it builds both
+powers with the package's public power functions and compares them.
 Desk-scale inputs only.
 """
 
@@ -20,7 +22,9 @@ from math import gcd, lcm
 
 from mfmckit.clutters import ExponentMatrix, clutter_from_edges
 from mfmckit.cones import RationalCone, facet_normals
+from mfmckit.decisions import NtfResult
 from mfmckit.errors import SizeLimit
+from mfmckit.ideals import membership, ordinary_power, symbolic_power
 
 
 # ---------------------------------------------------------------- rationals
@@ -425,15 +429,17 @@ def decomposes(target, elements):
 # ---------------------------------------------------------------- searches
 
 
-def recursive_minimal_solutions(rows, n, bound, stage, cap):
+def recursive_minimal_solutions(rows, n, bound, stage, cap, out=None):
     """linalg._minimal_solutions as a recursion, with cap for SEARCH_CAP:
-    one call per node, in the same depth-first order."""
+    one call per node, in the same depth-first order.  The points go to
+    out, when given, as they are found, so a caller that catches the
+    SizeLimit reads the points found before the cap."""
     touch = [[(j, alpha[k]) for j, (alpha, _) in enumerate(rows) if alpha[k]]
              for k in range(n)]
     tight = [[(j, alpha[k], s) for j, (alpha, r) in enumerate(rows)
               if (s := bound * sum(alpha[k + 1:])) < r] for k in range(n)]
     slack = [-r for _, r in rows]
-    a, out, nodes = [0] * n, [], 0
+    a, out, nodes = [0] * n, [] if out is None else out, 0
 
     def critical(placed):
         return all(any(slack[j] < w for j, w in col) for col in placed)
@@ -505,6 +511,19 @@ def recursive_disjoint_edges(masks, target, cap):
 
 
 # ---------------------------------------------------------------- ideals
+
+
+def full_power_ntf_check(c, i_max):
+    """decisions.ntf_check by building I^i and I^(i) in full for each
+    2 <= i <= i_max: the least generator of I^(i) outside I^i is the
+    witness."""
+    for i in range(2, i_max + 1):
+        ordinary = ordinary_power(c.matrix, i)
+        witness = next((g for g in symbolic_power(c, i).gens
+                        if not membership(g, ordinary)), None)
+        if witness is not None:
+            return NtfResult(False, i, witness)
+    return NtfResult(True)
 
 
 def minimalize(vectors):

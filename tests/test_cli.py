@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from mfmckit import linalg
+from mfmckit import ideals, linalg
 from mfmckit.cli import main
 from mfmckit.errors import (
     ClassificationError, InconsistencyError, MfmcError, SizeLimit)
@@ -427,6 +427,20 @@ def test_search_cap_constant_binds_in_mfmc(capsys, tmp_path, monkeypatch):
     rc, out, err = run(capsys, ["mfmc", str(path)])
     assert (rc, out, err) == (
         3, "", "size limit: cover enumeration: needs 4 states, cap is 3\n")
+
+
+def test_analyze_meets_the_power_caps_before_the_minor_walk(capsys, tmp_path, monkeypatch):
+    # analyze builds its power table before the verdict, so when a power cap
+    # and the minor cap both bind, the power cap stops it; mfmc builds no
+    # power and still stops at the minor walk of the packing witness
+    path = tmp_path / "pendant.in"
+    path.write_text(TRIANGLE_NATIVE + "edge c d\n")
+    minors = "size limit: minor enumeration: needs 81 states, cap is 1\n"
+    assert run(capsys, ["analyze", str(path), "--minor-cap", "1"]) == (3, "", minors)
+    monkeypatch.setattr(ideals, "ORDINARY_CAP", 5)
+    assert run(capsys, ["analyze", str(path), "--minor-cap", "1"]) == (
+        3, "", "size limit: ordinary power enumeration: needs 10 states, cap is 5\n")
+    assert run(capsys, ["mfmc", str(path), "--minor-cap", "1"]) == (3, "", minors)
 
 
 def test_internal_error_exit_code(capsys, reference_file, monkeypatch):

@@ -38,8 +38,10 @@ from oracles import (
     brute_alpha0,
     brute_beta1,
     brute_minimal_covers,
+    full_power_ntf_check,
     monoid_member,
     random_clutters,
+    search_outcome,
     tdi_integral_max,
     tdi_rational_max,
     tuple_keyed_tdi_scan,
@@ -217,6 +219,84 @@ def test_mfmc_clutters_pass_the_searches(bounds, random100):
     for c, v in zip(family, verdicts):
         if not v.integral:
             assert not packing_property(c)[0]
+
+
+@pytest.mark.parametrize("i_max", [2, 3, 4])
+@pytest.mark.parametrize("module, constant, value, failing, early", [
+    (linalg, "SEARCH_CAP", linalg.SEARCH_CAP, 32, 0), (ideals, "ORDINARY_CAP", 20, 21, 0),
+    (linalg, "SEARCH_CAP", 40, 26, 10)], ids=["default", "ordinary-cap", "search-cap"])
+def test_ntf_check_matches_the_full_powers(random100, monkeypatch, i_max, module,
+                                           constant, value, failing, early):
+    # the first generator of I^(i) that is no sum of i edges is the least one
+    # outside I^i; the sums come under ORDINARY_CAP before the search, as I^i
+    # did, so the same SizeLimit stops both.  The stream stops at the
+    # witness, so under SEARCH_CAP it may answer where the full I^(i) is refused
+    monkeypatch.setattr(module, constant, value)
+    counts = Counter()
+    for c in random100:
+        full = search_outcome(full_power_ntf_check, c, i_max)
+        streamed = search_outcome(ntf_check, c, i_max)
+        if streamed != full:
+            assert full.startswith("symbolic power enumeration") and not streamed.ok
+            counts["early"] += 1
+        counts["failing"] += not isinstance(streamed, str) and not streamed.ok
+    assert (counts["failing"], counts["early"]) == (failing, early)
+
+
+def k33():
+    return clutter_from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+
+
+@pytest.mark.parametrize("name, make, i_max", [
+    ("triangle", None, 4), ("q6", None, 3), ("reference_clutter", None, 4),
+    ("K3,3", k33, 4), ("C7", lambda: cycle(7), 4),
+    *((f"C{n}", lambda n=n: cycle(n), 3 if n < 12 else 2) for n in range(5, 14))])
+def test_ntf_check_matches_the_full_powers_on_the_corpus(request, name, make, i_max):
+    c = make() if make else request.getfixturevalue(name)
+    assert ntf_check(c, i_max) == full_power_ntf_check(c, i_max)
+
+
+def test_ntf_check_stops_the_search_at_the_witness(triangle, monkeypatch, capsys,
+                                                   tmp_path):
+    # the covers take 6 search nodes and I^(2) takes 10, but its witness
+    # x1x2x3 comes at the 5th: under a cap of 6 the full power is refused,
+    # and the stream answers, also in mfmc, which exited 3 before
+    monkeypatch.setattr(linalg, "SEARCH_CAP", 6)
+    assert search_outcome(full_power_ntf_check, triangle, 2) == (
+        "symbolic power enumeration: needs 7 states, cap is 6")
+    assert ntf_check(triangle, 2) == NtfResult(False, 2, (1, 1, 1))
+    path = tmp_path / "triangle.in"
+    path.write_text("edge a b\nedge b c\nedge a c\n")
+    assert main(["mfmc", str(path), "--imax", "2"]) == 0
+    assert "ntf: false" in capsys.readouterr().out
+
+
+def test_ntf_check_checks_the_ordinary_cap_first(triangle, monkeypatch, capsys, tmp_path):
+    # C(3+1, 2) = 6 sums of two edges: refused before the covers or I^(2), with
+    # the message of the full power
+    monkeypatch.setattr(ideals, "ORDINARY_CAP", 5)
+    message = "ordinary power enumeration: needs 6 states, cap is 5"
+    assert search_outcome(full_power_ntf_check, triangle, 2) == message
+    calls = count_calls(monkeypatch)
+    with pytest.raises(SizeLimit) as exc:
+        ntf_check(triangle, 2)
+    assert str(exc.value) == message
+    assert calls == {}
+    path = tmp_path / "triangle.in"
+    path.write_text("edge a b\nedge b c\nedge a c\n")
+    assert main(["mfmc", str(path), "--imax", "2"]) == 3
+    assert capsys.readouterr().err == f"size limit: {message}\n"
+
+
+def test_mfmc_without_mfmc_builds_no_power(monkeypatch, triangle, q6, random100):
+    # the ntf witness comes off the column sums and the symbolic stream
+    family = [triangle, q6, cycle(5), cycle(7),
+              *(c for c in random100 if not gr_reduced(c))]
+    calls = count_calls(monkeypatch)
+    verdicts = [decide_mfmc(c, 3) for c in family]
+    assert not any(v.mfmc or v.ntf for v in verdicts)
+    assert calls["minimal_vertex_covers"] == len(family)
+    assert calls["ordinary_power"] == calls["symbolic_power"] == 0
 
 
 # ---------------------------------------------------------------- tdi
@@ -765,7 +845,7 @@ def test_mfmc_integral_witness_is_the_least_fractional_vertex(random100):
 def test_searches_leave_no_reference_cycles(triangle, monkeypatch):
     # the recursive searches and the clutter walk drop their self-referencing
     # closures on return, so nothing waits for the cyclic collector, also when
-    # a cap stops them or the walk is closed early
+    # a cap stops them, the walk is closed early or a stream is left early
     c5 = clutter_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     gc.collect()
     gc.disable()
@@ -774,6 +854,13 @@ def test_searches_leave_no_reference_cycles(triangle, monkeypatch):
             assert not decide_mfmc(c).mfmc
             assert gc.collect() == 0
         covers = clutters.minimal_vertex_covers(c5)  # the cap below would stop this search too
+        # ntf_check leaves the stream of I^(3) at its witness x1...x5
+        assert ntf_check(Analysis(c5), 3) == NtfResult(False, 3, (1,) * 5)
+        assert gc.collect() == 0
+        stream = ideals._symbolic_points(c5, 3, covers)
+        assert next(stream) == (0, 0, 0, 3, 3)
+        del stream
+        assert gc.collect() == 0
         monkeypatch.setattr(linalg, "SEARCH_CAP", 10)
         with pytest.raises(SizeLimit, match="symbolic power enumeration: needs 11 states"):
             symbolic_power(c5, 3, covers)

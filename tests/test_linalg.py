@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mfmckit import clutters, ideals, linalg
 from mfmckit.clutters import clutter_from_edges, minimal_vertex_covers
+from mfmckit.errors import SizeLimit
 from mfmckit.ideals import closure_power, symbolic_power
 from mfmckit.linalg import _scaled_solve, dot, primitive, smith_invariant_factors
 
@@ -167,15 +168,16 @@ def test_smith_permutation_invariant(rows, rng):
 @pytest.fixture(scope="module")
 def row_systems(search_family):
     # every system the covers, I^(2), I^(3) and the closures of I^2 and I^3
-    # of the search family hand the kernel
-    systems, kernel = [], linalg._minimal_solutions
+    # of the search family hand the kernel; the covers and the closures reach
+    # it through _minimal_solutions, the symbolic powers as a stream
+    systems, kernel = [], linalg._minimal_points
 
     def record(*args):
         systems.append(args)
         return kernel(*args)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(clutters, "_minimal_solutions", record)
-        patch.setattr(ideals, "_minimal_solutions", record)
+        patch.setattr(linalg, "_minimal_points", record)
+        patch.setattr(ideals, "_minimal_points", record)
         for c in search_family:
             covers = minimal_vertex_covers(c)
             for i in (2, 3):
@@ -200,6 +202,40 @@ def test_minimal_solutions_stop_where_the_recursion_stops(row_systems, cap, monk
     for system in row_systems:
         assert (search_outcome(linalg._minimal_solutions, *system)
                 == search_outcome(recursive_minimal_solutions, *system, cap))
+
+
+def drained(system):
+    """The points _minimal_points yields for system, and the SizeLimit
+    message that stops it, or None."""
+    points = []
+    try:
+        points.extend(linalg._minimal_points(*system))
+    except SizeLimit as e:
+        return points, str(e)
+    return points, None
+
+
+def test_minimal_points_yield_the_solutions_in_order(row_systems):
+    for system in row_systems:
+        assert drained(system) == (list(linalg._minimal_solutions(*system)), None)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 17, 60])
+def test_minimal_points_stop_at_the_node_where_the_recursion_stops(row_systems, cap,
+                                                                   monkeypatch):
+    # drained under a lowered cap, the stream yields the points the recursion
+    # finds before the same node, then raises the same SizeLimit
+    monkeypatch.setattr(linalg, "SEARCH_CAP", cap)
+    stopped = 0
+    for system in row_systems:
+        found = []
+        expected = search_outcome(recursive_minimal_solutions, *system, cap, found)
+        points, message = drained(system)
+        assert points == found
+        assert message == (expected if isinstance(expected, str) else None)
+        stopped += message is not None and bool(points)
+    # some stream yields points before its cap stops it
+    assert stopped or cap == 1
 
 
 def test_minimal_solutions_run_past_the_recursion_limit():

@@ -33,8 +33,8 @@ from mfmckit.linalg import dot
 from mfmckit.reporting import analyze, parse_input, report_from_json, report_to_json
 
 from oracles import (
-    brute_alpha0, brute_beta1, decomposes, tdi_integral_max, unseeded_dd_steps,
-    vertex_to_facet_normal)
+    brute_alpha0, brute_beta1, decomposes, full_power_ntf_check, tdi_integral_max,
+    unseeded_dd_steps, vertex_to_facet_normal)
 
 
 @st.composite
@@ -183,6 +183,12 @@ def test_power_containments(c, i):
         assert membership(g, clo)
     for g in clo.gens:
         assert membership(g, sym)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clutters(max_n=5, max_q=5), st.integers(1, 4))
+def test_ntf_check_names_the_least_symbolic_generator_outside_the_power(c, i_max):
+    assert decisions.ntf_check(c, i_max) == full_power_ntf_check(c, i_max)
 
 
 @settings(max_examples=30, deadline=None)
