@@ -163,10 +163,9 @@ def ntf_check(source, i_max: int = 3) -> NtfResult:
     require_i_max(i_max)
     a = as_analysis(source)
     for i in range(2, i_max + 1):
-        # kept powers serve too: a generator of I^(i) inside I^i is minimal there
-        ordinary, symbolic = (a._powers.get((kind, i)) for kind in ("ordinary", "symbolic"))
-        sums = set(ordinary.gens if ordinary else _column_sums(a.clutter.matrix, i))
-        gens = symbolic.gens if symbolic else _symbolic_points(a.clutter, i, a.covers)
+        sums = _column_sums(a.clutter.matrix, i)
+        kept = a._powers.get(("symbolic", i))
+        gens = kept.gens if kept else _symbolic_points(a.clutter, i, a.covers)
         witness = next((g for g in gens if g not in sums), None)
         if witness is not None:
             return NtfResult(False, i, witness)

@@ -53,19 +53,19 @@ def ideal_equal(left: MonomialIdealGens, right: MonomialIdealGens) -> bool:
     return left.gens == right.gens
 
 
-def _column_sums(m, i: int) -> list:
-    """The C(q+i-1, i) i-fold sums of the generator columns, repeats kept."""
+def _column_sums(m, i: int) -> set:
+    """The distinct sums of the C(q+i-1, i) i-fold choices of generator columns."""
     if (total := comb(m.q + i - 1, i)) > ORDINARY_CAP:
         raise SizeLimit("ordinary power enumeration", total, ORDINARY_CAP)
-    return [tuple(map(sum, zip(*combo)))
-            for combo in itertools.combinations_with_replacement(m.columns, i)]
+    return {tuple(map(sum, zip(*combo)))
+            for combo in itertools.combinations_with_replacement(m.columns, i)}
 
 
 def ordinary_power(m, i: int) -> MonomialIdealGens:
     """I^i: minimalized i-fold sums of the generator columns."""
     if i < 1:
         raise ValueError("power must be >= 1")
-    return MonomialIdealGens(tuple(_column_sums(m, i)))
+    return MonomialIdealGens(_column_sums(m, i))
 
 
 def _as_clutter(source) -> Clutter:

@@ -253,7 +253,7 @@ def test_ntf_check_matches_the_full_powers_on_the_corpus(request, name, i_max):
         c = cycle(int(name[1:])) if name[0] == "C" else request.getfixturevalue(name)
     expected = full_power_ntf_check(c, i_max)
     assert ntf_check(c, i_max) == expected
-    # an Analysis holding every power reads them instead of the sums and the stream
+    # an Analysis holding I^(i) reads it instead of the stream
     a = Analysis(c)
     powers_table(a, i_max)
     assert ntf_check(a, i_max) == expected
