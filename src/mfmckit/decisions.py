@@ -44,8 +44,8 @@ class Analysis:
     and kept: the Rees cone, its facets, whether Q(A) is integral (read
     off the vertex normals), its vertex list (only to be printed, or for
     a witness or a gap's rational value), the minimal vertex covers, the
-    Hilbert basis (its pass also fills the facets) and the powers; a
-    symbolic power not kept reaches ntf_check as a stream, left unkept."""
+    Hilbert basis (its pass also fills the facets) and the powers;
+    ntf_check streams a symbolic power that is not kept, and keeps none."""
 
     POWERS = {
         "ordinary": lambda a, i: ordinary_power(a.clutter.matrix, i),
