@@ -15,7 +15,7 @@ from operator import ge, index, le
 
 from .errors import (
     EmptyEdge, InconsistencyError, NotAntichain, NotZeroOne, OverlappingSpec, Record, SizeLimit)
-from .linalg import _minimal_solutions
+from .linalg import _plane_points
 
 MINOR_CAP = 3 ** 12
 MATCHING_CAP = 2_000_000
@@ -290,9 +290,8 @@ def all_minors(c: Clutter):
 
 def minimal_vertex_covers(c: Clutter):
     """All minimal transversals, as sorted index tuples in canonical order."""
-    points = _minimal_solutions([(e, 1) for e in c.matrix.columns], c.n, 1,
-                                "cover enumeration")
-    return tuple(sorted(tuple(v for v, x in enumerate(a) if x) for a in points))
+    points = _plane_points(c.edges, c.n, 1, "cover enumeration")
+    return tuple(sorted(tuple(itertools.compress(range(c.n), a)) for a in points))
 
 
 def covering_number(c: Clutter) -> int:

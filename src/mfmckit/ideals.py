@@ -1,9 +1,11 @@
 """Ordinary, symbolic and integral-closure powers of monomial ideals.
 
 Monomials are exponent tuples; an ideal is its minimal generator set.
-Ordinary powers are minimalized column sums; the symbolic and closure
-powers come from the minimal-point search linalg._minimal_points, and
-I^(i) also as a stream of its sorted generators, searched as it is read.
+Ordinary powers are minimalized column sums.  The symbolic powers come
+from the 0/1 minimal-point search linalg._plane_points, with the minimal
+covers as rows, and I^(i) also as a stream of its sorted generators,
+searched as it is read; the closure powers, whose rows are the Rees
+cone's vertex normals, from the slack search linalg._minimal_solutions.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from operator import le
 from .clutters import Clutter, minimal_vertex_covers
 from .cones import support_hyperplanes
 from .errors import NotSquareFree, Record, SizeLimit
-from .linalg import _minimal_points, _minimal_solutions
+from .linalg import _minimal_solutions, _plane_points
 
 ORDINARY_CAP = 500_000
 
@@ -91,8 +93,7 @@ def symbolic_power(source, i: int, covers=None) -> MonomialIdealGens:
 def _symbolic_points(c: Clutter, i: int, covers):
     """The generators of I^(i) in sorted order, as a stream: the search
     runs only as far as they are read."""
-    rows = [(tuple(int(v in cover) for v in range(c.n)), i) for cover in covers]
-    return _minimal_points(rows, c.n, i, "symbolic power enumeration")
+    return _plane_points(covers, c.n, i, "symbolic power enumeration")
 
 
 def closure_power(m, i: int, facets=None) -> MonomialIdealGens:

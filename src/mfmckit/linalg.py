@@ -1,5 +1,7 @@
 """Exact integer linear algebra on small dense matrices,
-and the minimal integer points of a system <alpha, a> >= r, alpha >= 0.
+and the minimal integer points of a system <alpha, a> >= r, alpha >= 0:
+_minimal_points keeps a slack per row, and _plane_points, for 0/1 rows
+whose right-hand side is the box bound, keeps bitmasks of rows by weight.
 
 Everything works over Python ints; no fractions, no floats.
 """
@@ -194,4 +196,99 @@ def _minimal_points(rows, n: int, bound: int, stage: str):
         if v:
             placed.pop()
         a[k] = 0
+        k, back = k - 1, True
+
+
+def _plane_points(supports, n: int, r: int, stage: str):
+    """Yield the minimal points of {a in {0..r}^n : sum of a_k over k in s
+    is at least r for every support s}, the supports sorted index tuples:
+    _minimal_points on their 0/1 rows with r both right-hand side and bound,
+    the same points in the same order, and the same nodes counted against
+    SEARCH_CAP.
+
+    The rows are bits, and planes[t] holds the rows of weight >= t for
+    t = 0..r+1, weights saturating at r + 1.  Setting a_k = v adds the rows
+    holding k of weight >= t - v to planes[t], top plane first; the least
+    a_k lifts the rows whose last coordinate is k into planes[r - a_k]; and
+    a placed coordinate is critical while it holds a row outside planes[r + 1].
+    The planes are saved when a_k leaves 0 and restored when it returns."""
+    top = r + 1
+    holds, last, full = [0] * n, [0] * n, (1 << len(supports)) - 1
+    for j, s in enumerate(supports):
+        bit = 1 << j
+        for k in s:
+            holds[k] |= bit
+        if s:
+            last[s[-1]] |= bit
+        elif r:  # never met: it leaves planes[0], so the first node finds no a_0
+            last[0] |= bit
+            full ^= bit
+    planes, down = [full] + [0] * top, range(top, 0, -1)
+    # placed: holds[k] of the positive a_k; saved: the planes before each left 0
+    a, placed, saved, nodes, k, back = [0] * n, [], [], 0, 0, False
+
+    def critical(free):
+        """Whether each placed coordinate holds a row of the mask free."""
+        for col in placed:
+            if not col & free:
+                return False
+        return True
+
+    # ok: whether the placed coordinates are critical.  A step down is taken
+    # only when they are, and a coordinate can stop being critical only when
+    # planes[top] grows, so they are checked again only then
+    while k >= 0:
+        col = holds[k]
+        if back:  # the branches below a_k are done: try a_k + 1
+            v = a[k]
+            ok = v < r
+            if ok:
+                if not v:
+                    saved.append(planes[:])
+                    placed.append(col)
+                a[k] = v + 1
+                before = planes[top]
+                for t in down:
+                    planes[t] |= col & planes[t - 1]
+                if planes[top] != before:
+                    ok = critical(~planes[top])
+                elif not v:  # only the newly placed coordinate is unchecked
+                    ok = col & ~before
+        else:
+            nodes += 1
+            if nodes > SEARCH_CAP:
+                raise SizeLimit(stage, nodes, SEARCH_CAP)
+            need, v = last[k], 0  # the least a_k that meets the rows ending at k
+            while v <= r and need & ~planes[r - v]:
+                v += 1
+            if v > r:
+                k, back = k - 1, True
+                continue
+            if k == n - 1:  # a leaf: only the rows a_k lifts to the top plane matter
+                rise = v and col & planes[top - v] & ~planes[top]
+                if not rise or critical(~(planes[top] | rise)):
+                    a[k] = v
+                    yield tuple(a)  # v > 0 is critical, since v - 1 leaves a row unmet
+                    a[k] = 0
+                k, back = k - 1, True
+                continue
+            ok = True
+            if v:
+                a[k] = v
+                saved.append(planes[:])
+                placed.append(col)
+                before = planes[top]
+                for t in range(top, v, -1):
+                    planes[t] |= col & planes[t - v]
+                for t in range(v, 0, -1):  # planes[0] holds every row of col
+                    planes[t] |= col
+                free = ~planes[top]
+                ok = critical(free) if planes[top] != before else col & free
+        if ok:
+            k, back = k + 1, False
+            continue
+        if a[k]:
+            planes[:] = saved.pop()
+            placed.pop()
+            a[k] = 0
         k, back = k - 1, True

@@ -174,6 +174,25 @@ def _cycle(n):
     return "".join(f"edge {k} {k % n + 1}\n" for k in range(1, n + 1))
 
 
+def test_mfmc_fifteen_cycle_at_the_default_imax(capsys, tmp_path):
+    # no power up to 3 fails, so the symbolic powers I^(2) and I^(3) are
+    # searched to their end before the certificate i = n + 1 answers
+    path = tmp_path / "c15.in"
+    path.write_text(_cycle(15))
+    rc, out, err = run(capsys, ["mfmc", str(path), "--format", "json"])
+    assert (rc, err) == (0, "")
+    assert out == json.dumps({
+        "i_max_checked": 3, "integral": False, "koenig": False, "mfmc": False,
+        "normal": True, "ntf": False, "packing": False, "torsion_free": True,
+        "witnesses": {
+            "integral": ["1/2"] * 15,
+            "koenig": {"covering": 8, "matching": 7},
+            "ntf": {"i": 16, "monomial": [2] * 15},
+            "packing": {"ones": [], "zeros": []},
+        },
+    }, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("text, argv, line", [
     (_cycle(12), [], "mfmc: true"),
     (_cycle(14), ["--imax", "1"], "mfmc: true"),

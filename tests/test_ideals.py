@@ -334,3 +334,16 @@ def test_seven_cycle_third_powers():
     c7 = clutter_from_edges(7, [(k, (k + 1) % 7) for k in range(7)])
     assert len(symbolic_power(c7, 3)) == 84
     assert len(closure_power(c7.matrix, 3)) == 84
+
+
+@pytest.mark.parametrize("n", [9, 11, 13])
+def test_odd_cycle_second_symbolic_powers_match_the_slack_search(n):
+    # the plane kernel behind symbolic_power against the slack kernel on the
+    # 0/1 cover rows: the same generators in the same order
+    c = clutter_from_edges(n, [(k, (k + 1) % n) for k in range(n)])
+    covers = minimal_vertex_covers(c)
+    rows = [(tuple(int(v in cover) for v in range(n)), 2) for cover in covers]
+    slack = linalg._minimal_solutions(rows, n, 2, "symbolic power enumeration")
+    assert symbolic_power(c, 2, covers).gens == slack
+    # an odd cycle C_(2k+1) has I^(t) = I^t for t <= k
+    assert slack == ordinary_power(c.matrix, 2).gens

@@ -166,30 +166,53 @@ def test_smith_permutation_invariant(rows, rng):
 
 
 @pytest.fixture(scope="module")
-def row_systems(search_family):
+def kernel_systems(search_family):
     # every system the covers, I^(2), I^(3) and the closures of I^2 and I^3
-    # of the search family hand the kernel; the covers and the closures reach
-    # it through _minimal_solutions, the symbolic powers as a stream
-    systems, kernel = [], linalg._minimal_points
+    # of the search family hand the two kernels: the covers and the symbolic
+    # powers go to the plane kernel, the symbolic powers as a stream, and the
+    # closures to the slack kernel through _minimal_solutions
+    slack, plane = [], []
+    slack_kernel, plane_kernel = linalg._minimal_points, linalg._plane_points
 
-    def record(*args):
-        systems.append(args)
-        return kernel(*args)
+    def record_slack(*args):
+        slack.append(args)
+        return slack_kernel(*args)
+
+    def record_plane(*args):
+        plane.append(args)
+        return plane_kernel(*args)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_minimal_points", record)
-        patch.setattr(ideals, "_minimal_points", record)
+        patch.setattr(linalg, "_minimal_points", record_slack)
+        patch.setattr(clutters, "_plane_points", record_plane)
+        patch.setattr(ideals, "_plane_points", record_plane)
         for c in search_family:
             covers = minimal_vertex_covers(c)
             for i in (2, 3):
                 symbolic_power(c, i, covers)
                 closure_power(c.matrix, i)
-    return systems
+    return slack, plane
+
+
+@pytest.fixture(scope="module")
+def row_systems(kernel_systems):
+    return kernel_systems[0]
+
+
+@pytest.fixture(scope="module")
+def plane_systems(kernel_systems):
+    return kernel_systems[1]
+
+
+def slack_system(supports, n, r, stage):
+    """The slack kernel's form of a plane kernel system: one 0/1 row per
+    support, with right-hand side r, and r for the bound."""
+    return [(tuple(int(k in s) for k in range(n)), r) for s in supports], n, r, stage
 
 
 def test_minimal_solutions_match_the_recursive_search(row_systems):
     # the loop visits the recursion's depth-first tree: the same points in
     # the same order
-    assert len(row_systems) == 1140
+    assert len(row_systems) == 456
     for rows, n, bound, stage in row_systems:
         assert (linalg._minimal_solutions(rows, n, bound, stage)
                 == recursive_minimal_solutions(rows, n, bound, stage, linalg.SEARCH_CAP))
@@ -204,12 +227,12 @@ def test_minimal_solutions_stop_where_the_recursion_stops(row_systems, cap, monk
                 == search_outcome(recursive_minimal_solutions, *system, cap))
 
 
-def drained(system):
-    """The points _minimal_points yields for system, and the SizeLimit
-    message that stops it, or None."""
+def drained(system, kernel=linalg._minimal_points):
+    """The points kernel yields for system, and the SizeLimit message that
+    stops it, or None."""
     points = []
     try:
-        points.extend(linalg._minimal_points(*system))
+        points.extend(kernel(*system))
     except SizeLimit as e:
         return points, str(e)
     return points, None
@@ -236,6 +259,57 @@ def test_minimal_points_stop_at_the_node_where_the_recursion_stops(row_systems, 
         stopped += message is not None and bool(points)
     # some stream yields points before its cap stops it
     assert stopped or cap == 1
+
+
+def test_plane_points_match_the_recursive_and_the_slack_search(plane_systems):
+    # the plane kernel walks the slack kernel's tree over the 0/1 rows: the
+    # same points in the same order
+    assert len(plane_systems) == 684
+    for system in plane_systems:
+        rows = slack_system(*system)
+        expected = recursive_minimal_solutions(*rows, linalg.SEARCH_CAP)
+        assert drained(system, linalg._plane_points) == (list(expected), None)
+        assert linalg._minimal_solutions(*rows) == expected
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 17, 60])
+def test_plane_points_stop_at_the_node_where_the_slack_search_stops(plane_systems, cap,
+                                                                    monkeypatch):
+    # the same node count: under a lowered cap the plane kernel yields the
+    # points found before the same node, then raises the same SizeLimit
+    monkeypatch.setattr(linalg, "SEARCH_CAP", cap)
+    stopped = 0
+    for system in plane_systems:
+        rows = slack_system(*system)
+        found = []
+        expected = search_outcome(recursive_minimal_solutions, *rows, cap, found)
+        outcome = drained(system, linalg._plane_points)
+        assert outcome == (found, expected if isinstance(expected, str) else None)
+        assert outcome == drained(rows)
+        stopped += outcome[1] is not None and bool(outcome[0])
+    assert stopped or cap == 1
+
+
+@st.composite
+def zero_one_systems(draw):
+    """n, r, sorted supports and a cap; some systems have 65-90 rows."""
+    n = draw(st.integers(1, 7))
+    count = draw(st.one_of(st.integers(0, 12), st.integers(65, 90)))
+    support = st.sets(st.integers(0, n - 1), max_size=n).map(sorted).map(tuple)
+    return (n, draw(st.integers(1, 4)), draw(st.lists(support, min_size=count, max_size=count)),
+            draw(st.sampled_from([3, 40, linalg.SEARCH_CAP])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_one_systems())
+def test_plane_points_equal_the_slack_search_on_random_zero_one_rows(case):
+    # r is both the right-hand side and the bound; past 64 rows the row
+    # masks span several machine words, and an empty row is never met
+    n, r, supports, cap = case
+    system = (supports, n, r, "random rows")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "SEARCH_CAP", cap)
+        assert drained(system, linalg._plane_points) == drained(slack_system(*system))
 
 
 def test_minimal_solutions_run_past_the_recursion_limit():
