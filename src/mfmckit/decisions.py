@@ -44,13 +44,16 @@ class Analysis:
     and kept: the Rees cone, its facets, whether Q(A) is integral (read
     off the vertex normals), its vertex list (only to be printed, or for
     a witness or a gap's rational value), the minimal vertex covers, the
-    Hilbert basis (its pass also fills the facets) and the powers;
-    ntf_check streams a symbolic power that is not kept, and keeps none."""
+    Hilbert basis (its pass also fills the facets) and the powers, the
+    closure powers read off the basis, or the kept I^i when R[It] is
+    normal; ntf_check streams a symbolic power that is not kept, and
+    keeps none."""
 
     POWERS = {
         "ordinary": lambda a, i: ordinary_power(a.clutter.matrix, i),
         "symbolic": lambda a, i: symbolic_power(a.clutter, i, a.covers),
-        "closure": lambda a, i: closure_power(a.clutter.matrix, i, a.facets),
+        "closure": lambda a, i: (a.power("ordinary", i) if normality(a.rees, a.basis)[0]
+                                 else closure_power(a.clutter.matrix, i, a.basis)),
     }
 
     def __init__(self, c: Clutter):

@@ -1,7 +1,6 @@
 """Exact integer linear algebra on small dense matrices,
-and the minimal integer points of a system <alpha, a> >= r, alpha >= 0:
-_minimal_points keeps a slack per row, and _plane_points, for 0/1 rows
-whose right-hand side is the box bound, keeps bitmasks of rows by weight.
+and the minimal integer points of a system of 0/1 rows whose right-hand
+side is the box bound: _plane_points keeps bitmasks of rows by weight.
 
 Everything works over Python ints; no fractions, no floats.
 """
@@ -121,90 +120,18 @@ def smith_invariant_factors(rows):
     return tuple(factors)
 
 
-def _minimal_solutions(rows, n: int, bound: int, stage: str):
-    """The points _minimal_points yields, as a tuple."""
-    # a list first: tuple() of a generator grows and shrinks the tuple in place,
-    # which raised the peak RSS of long analyze runs by about 1 MiB
-    return tuple([*_minimal_points(rows, n, bound, stage)])
-
-
-def _minimal_points(rows, n: int, bound: int, stage: str):
-    """Yield the minimal points of {a in {0..bound}^n : <alpha, a> >= r
-    for every row (alpha, r)}, alpha >= 0, in lexicographic order.
-
-    Depth first over the coordinates, as a loop.  a is minimal exactly
-    when each a_k > 0 is critical: some row with alpha_k > 0 has slack
-    below alpha_k.  Slacks only grow, so a branch, and the loop over larger a_k,
-    stops once an earlier positive coordinate cannot be critical or a row
-    is out of reach; the last coordinate takes its least feasible value.
-    SEARCH_CAP counts the nodes as they are visited, fewer than the box's points."""
-    # touch[k]: (row, alpha_k) for the rows k adds to; tight[k]: (row, alpha_k,
-    # the most k+1.. can add) for the rows that k+1.. alone may leave unmet
-    touch = [[(j, alpha[k]) for j, (alpha, _) in enumerate(rows) if alpha[k]]
-             for k in range(n)]
-    tight = [[(j, alpha[k], s) for j, (alpha, r) in enumerate(rows)
-              if (s := bound * sum(alpha[k + 1:])) < r] for k in range(n)]
-    slack = [-r for _, r in rows]
-    # k: the coordinate being set; placed: the touch lists of the positive ones set
-    a, placed, nodes, k, back = [0] * n, [], 0, 0, False
-
-    def critical():
-        """Whether each placed coordinate is still critical."""
-        for col in placed:
-            for j, w in col:
-                if slack[j] < w:
-                    break
-            else:
-                return False
-        return True
-
-    while k >= 0:
-        col = touch[k]
-        if back:  # the branches below a_k are done: try a_k + 1
-            v = a[k]
-            deeper = v < bound
-            if deeper:
-                v = a[k] = v + 1
-                for j, w in col:
-                    slack[j] += w
-                if v == 1:
-                    placed.append(col)
-        else:
-            nodes += 1
-            if nodes > SEARCH_CAP:
-                raise SizeLimit(stage, nodes, SEARCH_CAP)
-            v = 0  # the least a_k that keeps every row within reach
-            for j, w, s in tight[k]:
-                if -slack[j] - s > v * w:  # with w = 0 the row is out of reach
-                    v = -((slack[j] + s) // w) if w else bound + 1
-            if v > bound:
-                k, back = k - 1, True
-                continue
-            a[k] = v
-            for j, w in col:
-                slack[j] += w * v
-            deeper = k < n - 1
-            if not deeper and critical():  # v > 0 is critical, since v - 1 leaves a row unmet
-                yield tuple(a)
-            if v:
-                placed.append(col)
-        if deeper and critical():
-            k, back = k + 1, False
-            continue
-        for j, w in col:
-            slack[j] -= w * v
-        if v:
-            placed.pop()
-        a[k] = 0
-        k, back = k - 1, True
-
-
 def _plane_points(supports, n: int, r: int, stage: str):
     """Yield the minimal points of {a in {0..r}^n : sum of a_k over k in s
-    is at least r for every support s}, the supports sorted index tuples:
-    _minimal_points on their 0/1 rows with r both right-hand side and bound,
-    the same points in the same order, and the same nodes counted against
-    SEARCH_CAP.
+    is at least r for every support s}, the supports sorted index tuples,
+    in lexicographic order.
+
+    Depth first over the coordinates, as a loop.  a is minimal exactly
+    when each a_k > 0 is critical: some row holding k has weight r.
+    Weights only grow, so a branch, and the loop over larger a_k, stops
+    once an earlier positive coordinate cannot be critical or a row is out
+    of reach; the last coordinate takes its least feasible value, and once
+    every row is met the rest are 0.  SEARCH_CAP counts the nodes as they
+    are visited, fewer than the box's points.
 
     The rows are bits, and planes[t] holds the rows of weight >= t for
     t = 0..r+1, weights saturating at r + 1.  Setting a_k = v adds the rows
@@ -213,7 +140,8 @@ def _plane_points(supports, n: int, r: int, stage: str):
     a placed coordinate is critical while it holds a row outside planes[r + 1].
     The planes are saved when a_k leaves 0 and restored when it returns."""
     top = r + 1
-    holds, last, full = [0] * n, [0] * n, (1 << len(supports)) - 1
+    every = (1 << len(supports)) - 1  # empty rows too: never met for r > 0
+    holds, last, full = [0] * n, [0] * n, every
     for j, s in enumerate(supports):
         bit = 1 << j
         for k in s:
@@ -258,6 +186,10 @@ def _plane_points(supports, n: int, r: int, stage: str):
             nodes += 1
             if nodes > SEARCH_CAP:
                 raise SizeLimit(stage, nodes, SEARCH_CAP)
+            if planes[r] == every:  # every row met: a later a_k > 0 is not critical
+                yield tuple(a)
+                k, back = k - 1, True
+                continue
             need, v = last[k], 0  # the least a_k that meets the rows ending at k
             while v <= r and need & ~planes[r - v]:
                 v += 1

@@ -190,7 +190,7 @@ def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
     a = as_analysis(doc.clutter())
     if tdi_bound:
         require_tdi_box(a.clutter.n, tdi_bound)
-    basis = a.basis  # first: its pass fills the facets the closure powers read
+    basis = a.basis  # first: its pass also fills the facets
     powers = powers_table(a, i_max)
     verdict = decide_mfmc(a, i_max=i_max, minor_cap=minor_cap)
     for row in powers:

@@ -7,7 +7,8 @@ determinants instead of integer reduction.  The one exception is the
 placing triangulation, which recomputes every hull from scratch with
 the package's facet_normals instead of reading the incremental pass.
 The recursive searches are the package's earlier forms of its search
-loops, kept to pin the loops' output order and node counts, and
+loops, kept to pin the loops' output order and node counts;
+slack_closure is the closure route the Hilbert basis replaced, and
 unseeded_dd_steps is the double description pass before its orthant
 start, kept to pin every step of the seeded pass.  full_power_ntf_check
 is the ntf check before it stopped at the witness: it builds both
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from mfmckit.clutters import ExponentMatrix, clutter_from_edges
-from mfmckit.cones import RationalCone, facet_normals
+from mfmckit.cones import RationalCone, facet_normals, support_hyperplanes
 from mfmckit.decisions import NtfResult
 from mfmckit.errors import SizeLimit
 from mfmckit.ideals import membership, ordinary_power, symbolic_power
@@ -430,10 +431,14 @@ def decomposes(target, elements):
 
 
 def recursive_minimal_solutions(rows, n, bound, stage, cap, out=None):
-    """linalg._minimal_solutions as a recursion, with cap for SEARCH_CAP:
-    one call per node, in the same depth-first order.  The points go to
-    out, when given, as they are found, so a caller that catches the
-    SizeLimit reads the points found before the cap."""
+    """The minimal points of {a in {0..bound}^n : <alpha, a> >= r for every
+    row (alpha, r)}, alpha >= 0, in lexicographic order, by a slack search:
+    linalg._plane_points's depth-first tree over general rows, as a
+    recursion with cap for SEARCH_CAP, one call per node.  a is minimal
+    exactly when each a_k > 0 is critical: some row with alpha_k > 0 has
+    slack below alpha_k.  The points go to out, when given, as they are
+    found, so a caller that catches the SizeLimit reads the points found
+    before the cap."""
     touch = [[(j, alpha[k]) for j, (alpha, _) in enumerate(rows) if alpha[k]]
              for k in range(n)]
     tight = [[(j, alpha[k], s) for j, (alpha, r) in enumerate(rows)
@@ -449,6 +454,9 @@ def recursive_minimal_solutions(rows, n, bound, stage, cap, out=None):
         nodes += 1
         if nodes > cap:
             raise SizeLimit(stage, nodes, cap)
+        if all(s >= 0 for s in slack):  # every row met: a later a_k > 0 is not critical
+            out.append(tuple(a))
+            return
         v = 0
         for j, w, s in tight[k]:
             if -slack[j] - s > v * w:
@@ -480,6 +488,16 @@ def recursive_minimal_solutions(rows, n, bound, stage, cap, out=None):
 
     visit(0, [])
     return tuple(out)
+
+
+def slack_closure(m, i, cap=2_000_000):
+    """The generators of the integral closure of I^i by the slack search
+    over the Rees cone's vertex normals: a vertex normal (alpha', -b) asks
+    <alpha', a> >= i b, and minimal generators are bounded by i times the
+    largest entry."""
+    rows = [(f[:-1], -f[-1] * i) for f in support_hyperplanes(m).vertex_normals]
+    return recursive_minimal_solutions(rows, m.n, i * m.max_entry(),
+                                       "closure power enumeration", cap)
 
 
 def search_outcome(search, *args):

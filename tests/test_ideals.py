@@ -182,20 +182,21 @@ def test_closure_rejects_zero_power(squares_matrix):
         closure_power(squares_matrix, 0)
 
 
-def test_closure_cap(reference_matrix, monkeypatch):
-    # the search visits 56 nodes here
-    monkeypatch.setattr(linalg, "SEARCH_CAP", 50)
+def test_closure_cap(squares_matrix, monkeypatch):
+    # the level sums of (x1^2, x2^2)^2 count the 3 basis elements of lift 1
+    # at level 1 and 3 * 3 sums at level 2
+    monkeypatch.setattr(ideals, "ORDINARY_CAP", 11)
     with pytest.raises(SizeLimit) as exc:
-        closure_power(reference_matrix, 2)
-    assert exc.value.stage == "closure power enumeration"
-    assert exc.value.cap == 50
+        closure_power(squares_matrix, 2)
+    assert (exc.value.stage, exc.value.needed, exc.value.cap) == (
+        "closure power enumeration", 12, 11)
 
 
-def test_closure_accepts_precomputed_facets(reference_matrix):
-    from mfmckit.cones import support_hyperplanes
-    fc = support_hyperplanes(reference_matrix)
-    assert ideal_equal(closure_power(reference_matrix, 2, facets=fc),
-                       closure_power(reference_matrix, 2))
+def test_closure_accepts_precomputed_basis(q6, reference_matrix):
+    # R[It] is not normal for Q6, and is for the reference example
+    from mfmckit.hilbert import hilbert_basis
+    for m in (q6.matrix, reference_matrix):
+        assert ideal_equal(closure_power(m, 2, basis=hilbert_basis(m)), closure_power(m, 2))
 
 
 def test_closure_against_power_oracle(triangle, squares_matrix,
@@ -240,11 +241,11 @@ def test_closure_is_contained_in_its_own_later_sums(triangle):
 
 # ---------------------------------------------------------------- search vs box oracle
 #
-# symbolic_power and closure_power search for the minimal points; the
-# reference scans the whole box and minimalizes every in-set point by
-# pairwise dominance.  The closure's in-set points
-# come from the full facet list of the Rees cone (checked against
-# brute_facets in test_cones), not from the vertex-normal split.
+# symbolic_power searches for the minimal points and closure_power sums
+# Hilbert basis elements; the reference scans the whole box and
+# minimalizes every in-set point by pairwise dominance.  The closure's
+# in-set points come from the full facet list of the Rees cone (checked
+# against brute_facets in test_cones), not from the Hilbert basis.
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,13 +306,12 @@ def test_search_nodes_stay_within_the_box(random100, monkeypatch):
         for i in (1, 2, 3):
             monkeypatch.setattr(linalg, "SEARCH_CAP", (i + 1) ** c.n)
             assert symbolic_power(c, i)
-            monkeypatch.setattr(linalg, "SEARCH_CAP", (i * c.matrix.max_entry() + 1) ** c.n)
-            assert closure_power(c.matrix, i)
 
 
 def test_search_output_is_already_canonical(random100):
-    # symbolic_power and closure_power wrap the search's output without
-    # minimalizing it again: it must already be minimal and sorted
+    # symbolic_power and closure_power wrap the search's output and the last
+    # level's sums without minimalizing them again: they must already be
+    # minimal and sorted
     for c in random100:
         for i in (1, 2, 3):
             for ideal in (symbolic_power(c, i), closure_power(c.matrix, i)):
@@ -338,12 +338,13 @@ def test_seven_cycle_third_powers():
 
 @pytest.mark.parametrize("n", [9, 11, 13])
 def test_odd_cycle_second_symbolic_powers_match_the_slack_search(n):
-    # the plane kernel behind symbolic_power against the slack kernel on the
+    # the plane kernel behind symbolic_power against the slack search on the
     # 0/1 cover rows: the same generators in the same order
     c = clutter_from_edges(n, [(k, (k + 1) % n) for k in range(n)])
     covers = minimal_vertex_covers(c)
     rows = [(tuple(int(v in cover) for v in range(n)), 2) for cover in covers]
-    slack = linalg._minimal_solutions(rows, n, 2, "symbolic power enumeration")
+    slack = oracles.recursive_minimal_solutions(rows, n, 2, "symbolic power enumeration",
+                                                linalg.SEARCH_CAP)
     assert symbolic_power(c, 2, covers).gens == slack
     # an odd cycle C_(2k+1) has I^(t) = I^t for t <= k
     assert slack == ordinary_power(c.matrix, 2).gens

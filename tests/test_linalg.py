@@ -12,7 +12,8 @@ from mfmckit.ideals import closure_power, symbolic_power
 from mfmckit.linalg import _scaled_solve, dot, primitive, smith_invariant_factors
 
 from oracles import (
-    frac_det, frac_solve, recursive_minimal_solutions, search_outcome, snf_by_minors)
+    frac_det, frac_solve, recursive_minimal_solutions, search_outcome, slack_closure,
+    snf_by_minors)
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -166,110 +167,104 @@ def test_smith_permutation_invariant(rows, rng):
 
 
 @pytest.fixture(scope="module")
-def kernel_systems(search_family):
-    # every system the covers, I^(2), I^(3) and the closures of I^2 and I^3
-    # of the search family hand the two kernels: the covers and the symbolic
-    # powers go to the plane kernel, the symbolic powers as a stream, and the
-    # closures to the slack kernel through _minimal_solutions
-    slack, plane = [], []
-    slack_kernel, plane_kernel = linalg._minimal_points, linalg._plane_points
-
-    def record_slack(*args):
-        slack.append(args)
-        return slack_kernel(*args)
+def plane_systems(search_family):
+    # every system the covers, I^(2) and I^(3) of the search family hand the
+    # plane kernel, the symbolic powers as a stream
+    plane, plane_kernel = [], linalg._plane_points
 
     def record_plane(*args):
         plane.append(args)
         return plane_kernel(*args)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_minimal_points", record_slack)
         patch.setattr(clutters, "_plane_points", record_plane)
         patch.setattr(ideals, "_plane_points", record_plane)
         for c in search_family:
             covers = minimal_vertex_covers(c)
             for i in (2, 3):
                 symbolic_power(c, i, covers)
-                closure_power(c.matrix, i)
-    return slack, plane
-
-
-@pytest.fixture(scope="module")
-def row_systems(kernel_systems):
-    return kernel_systems[0]
-
-
-@pytest.fixture(scope="module")
-def plane_systems(kernel_systems):
-    return kernel_systems[1]
+    return plane
 
 
 def slack_system(supports, n, r, stage):
-    """The slack kernel's form of a plane kernel system: one 0/1 row per
+    """The slack search's form of a plane kernel system: one 0/1 row per
     support, with right-hand side r, and r for the bound."""
     return [(tuple(int(k in s) for k in range(n)), r) for s in supports], n, r, stage
 
 
-def test_minimal_solutions_match_the_recursive_search(row_systems):
-    # the loop visits the recursion's depth-first tree: the same points in
-    # the same order
-    assert len(row_systems) == 456
-    for rows, n, bound, stage in row_systems:
-        assert (linalg._minimal_solutions(rows, n, bound, stage)
-                == recursive_minimal_solutions(rows, n, bound, stage, linalg.SEARCH_CAP))
+def test_minimal_solutions_match_the_recursive_search(search_family):
+    # the closure read off the Hilbert basis against the slack search over
+    # the vertex normals, the route it replaced
+    for c in search_family:
+        for i in (1, 2, 3):
+            assert closure_power(c.matrix, i).gens == slack_closure(c.matrix, i)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5, 17, 60])
-def test_minimal_solutions_stop_where_the_recursion_stops(row_systems, cap, monkeypatch):
-    # the same node count, so the same SizeLimit message at every cap
+def test_minimal_solutions_stop_where_the_recursion_stops(search_family, cap, monkeypatch):
+    # symbolic_power lists the plane kernel's points: under a lowered cap it
+    # raises the recursion's SizeLimit, else it returns the recursion's points
+    systems = [(c, i, minimal_vertex_covers(c)) for c in search_family for i in (2, 3)]
     monkeypatch.setattr(linalg, "SEARCH_CAP", cap)
-    for system in row_systems:
-        assert (search_outcome(linalg._minimal_solutions, *system)
-                == search_outcome(recursive_minimal_solutions, *system, cap))
+    for c, i, covers in systems:
+        rows = slack_system(covers, c.n, i, "symbolic power enumeration")
+        expected = search_outcome(recursive_minimal_solutions, *rows, cap)
+        outcome = search_outcome(symbolic_power, c, i, covers)
+        assert getattr(outcome, "gens", outcome) == expected
 
 
-def drained(system, kernel=linalg._minimal_points):
-    """The points kernel yields for system, and the SizeLimit message that
-    stops it, or None."""
+def drained(system):
+    """The points the plane kernel yields for system, and the SizeLimit
+    message that stops it, or None."""
     points = []
     try:
-        points.extend(kernel(*system))
+        points.extend(linalg._plane_points(*system))
     except SizeLimit as e:
         return points, str(e)
     return points, None
 
 
-def test_minimal_points_yield_the_solutions_in_order(row_systems):
-    for system in row_systems:
-        assert drained(system) == (list(linalg._minimal_solutions(*system)), None)
+@pytest.fixture(scope="module")
+def wide_systems():
+    # rows wide enough that every row is met while coordinates are left,
+    # where the search ends the branch: one row over all n coordinates,
+    # a wide row beside a pair, and the n rows that each miss one coordinate
+    systems = []
+    for n in range(2, 9):
+        families = [[tuple(range(n))], [tuple(range(n - 1)), (n - 2, n - 1)],
+                    [tuple(range(1, n)), (0, 1)],
+                    [tuple(k for k in range(n) if k != j) for j in range(n)]]
+        systems += [(rows, n, r, "wide rows") for rows in families for r in (1, 2, 3)]
+    return systems
+
+
+def test_minimal_points_yield_the_solutions_in_order(wide_systems):
+    for system in wide_systems:
+        expected = recursive_minimal_solutions(*slack_system(*system), linalg.SEARCH_CAP)
+        assert drained(system) == (list(expected), None)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5, 17, 60])
-def test_minimal_points_stop_at_the_node_where_the_recursion_stops(row_systems, cap,
+def test_minimal_points_stop_at_the_node_where_the_recursion_stops(wide_systems, cap,
                                                                    monkeypatch):
-    # drained under a lowered cap, the stream yields the points the recursion
-    # finds before the same node, then raises the same SizeLimit
+    # a branch ended once every row is met counts one node in both searches
     monkeypatch.setattr(linalg, "SEARCH_CAP", cap)
     stopped = 0
-    for system in row_systems:
+    for system in wide_systems:
         found = []
-        expected = search_outcome(recursive_minimal_solutions, *system, cap, found)
-        points, message = drained(system)
-        assert points == found
-        assert message == (expected if isinstance(expected, str) else None)
-        stopped += message is not None and bool(points)
-    # some stream yields points before its cap stops it
+        expected = search_outcome(recursive_minimal_solutions, *slack_system(*system), cap, found)
+        outcome = drained(system)
+        assert outcome == (found, expected if isinstance(expected, str) else None)
+        stopped += outcome[1] is not None and bool(outcome[0])
     assert stopped or cap == 1
 
 
 def test_plane_points_match_the_recursive_and_the_slack_search(plane_systems):
-    # the plane kernel walks the slack kernel's tree over the 0/1 rows: the
+    # the plane kernel walks the slack search's tree over the 0/1 rows: the
     # same points in the same order
     assert len(plane_systems) == 684
     for system in plane_systems:
-        rows = slack_system(*system)
-        expected = recursive_minimal_solutions(*rows, linalg.SEARCH_CAP)
-        assert drained(system, linalg._plane_points) == (list(expected), None)
-        assert linalg._minimal_solutions(*rows) == expected
+        expected = recursive_minimal_solutions(*slack_system(*system), linalg.SEARCH_CAP)
+        assert drained(system) == (list(expected), None)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5, 17, 60])
@@ -280,12 +275,10 @@ def test_plane_points_stop_at_the_node_where_the_slack_search_stops(plane_system
     monkeypatch.setattr(linalg, "SEARCH_CAP", cap)
     stopped = 0
     for system in plane_systems:
-        rows = slack_system(*system)
         found = []
-        expected = search_outcome(recursive_minimal_solutions, *rows, cap, found)
-        outcome = drained(system, linalg._plane_points)
+        expected = search_outcome(recursive_minimal_solutions, *slack_system(*system), cap, found)
+        outcome = drained(system)
         assert outcome == (found, expected if isinstance(expected, str) else None)
-        assert outcome == drained(rows)
         stopped += outcome[1] is not None and bool(outcome[0])
     assert stopped or cap == 1
 
@@ -307,13 +300,17 @@ def test_plane_points_equal_the_slack_search_on_random_zero_one_rows(case):
     # masks span several machine words, and an empty row is never met
     n, r, supports, cap = case
     system = (supports, n, r, "random rows")
+    found = []
+    expected = search_outcome(recursive_minimal_solutions, *slack_system(*system), cap, found)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "SEARCH_CAP", cap)
-        assert drained(system, linalg._plane_points) == drained(slack_system(*system))
+        assert drained(system) == (found, expected if isinstance(expected, str) else None)
 
 
 def test_minimal_solutions_run_past_the_recursion_limit():
-    # one edge over 1,000 vertices: one coordinate per level, deeper than
-    # Python's default stack of 1,000 frames
-    wide = clutter_from_edges(1000, [range(1000)])
-    assert minimal_vertex_covers(wide) == tuple((v,) for v in range(1000))
+    # one edge over 2,000 vertices: one coordinate per level, deeper than
+    # Python's default stack of 1,000 frames; the edge is met once a vertex
+    # is placed, so each cover ends its branch, and the n(n+1)/2 nodes of
+    # the unpruned tree, past SEARCH_CAP, are never visited
+    wide = clutter_from_edges(2000, [range(2000)])
+    assert minimal_vertex_covers(wide) == tuple((v,) for v in range(2000))

@@ -33,8 +33,8 @@ from mfmckit.linalg import dot
 from mfmckit.reporting import analyze, parse_input, report_from_json, report_to_json
 
 from oracles import (
-    brute_alpha0, brute_beta1, decomposes, full_power_ntf_check, tdi_integral_max,
-    unseeded_dd_steps, vertex_to_facet_normal)
+    brute_alpha0, brute_beta1, decomposes, full_power_ntf_check, slack_closure,
+    tdi_integral_max, unseeded_dd_steps, vertex_to_facet_normal)
 
 
 @st.composite
@@ -52,9 +52,9 @@ def clutters(draw, max_n=4, max_q=4):
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, top=2):
     n = draw(st.integers(2, 3))
-    col = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    col = st.tuples(*[st.integers(0, top)] * n).filter(any)
     cols = draw(st.lists(col, min_size=1, max_size=3, unique=True))
     # generating sets are divisibility antichains
     minimal = [c for c in cols
@@ -199,6 +199,15 @@ def test_closure_absorbs_generator_products(m, i):
     for g in clo.gens:
         for col in m.columns:
             assert membership(tuple(a + b for a, b in zip(g, col)), nxt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(top=3), st.integers(1, 3))
+def test_closure_powers_match_the_slack_search(m, i):
+    # read off the Hilbert basis against the slack search over the vertex
+    # normals, the route it replaced; a lift-1 basis element need not be a
+    # generator, as (1, 1, 1) is not for (x1^2, x2^2)
+    assert closure_power(m, i).gens == slack_closure(m, i)
 
 
 @settings(max_examples=30, deadline=None)
