@@ -213,16 +213,21 @@ def rees_cone(m) -> ReesCone:
     return ReesCone(m, cone, frozenset(axes))
 
 
-def _sorted_fractions(points) -> tuple:
-    """The points x/d, given as integer tuples (d, *x) with d > 0, as
-    sorted tuples of Fractions.  Scaled by the lcm L of the denominators,
-    x * (L // d) is an integer vector in the same order, so the sort
-    compares integers, not Fractions.  Zero entries share one Fraction."""
-    points = list(points)
+def _scaled_key(points):
+    """Order key for the points x/d, given as integer tuples (d, *x) with
+    d > 0: x * (L // d), L the lcm of the denominators, in integers."""
     scale = lcm(*(d for d, *_ in points))
-    points.sort(key=lambda p: tuple([x * (scale // p[0]) for x in p[1:]]))
-    return tuple(tuple(Fraction(x, d) if x else _ZERO for x in point)
-                 for d, *point in points)
+    return lambda p: tuple([x * (scale // p[0]) for x in p[1:]])
+
+
+def _fractions(d, *x) -> tuple:
+    return tuple(Fraction(v, d) if v else _ZERO for v in x)  # zeros share one Fraction
+
+
+def _sorted_fractions(points) -> tuple:
+    """The points (d, *x) of _scaled_key as sorted tuples of Fractions."""
+    points = list(points)
+    return tuple(_fractions(*p) for p in sorted(points, key=_scaled_key(points)))
 
 
 class FacetClassification(Record):
@@ -244,6 +249,12 @@ class FacetClassification(Record):
     def qa_vertices(self):
         """Recover the covering-polyhedron vertices alpha'/b, sorted."""
         return _sorted_fractions((-f[-1], *f[:-1]) for f in self.vertex_normals)
+
+    def least_fractional_vertex(self):
+        """The first fractional entry of qa_vertices(), or None: a primitive
+        normal (alpha', -b) gives a fractional alpha'/b exactly when b > 1."""
+        points = [(-f[-1], *f[:-1]) for f in self.vertex_normals if f[-1] < -1]
+        return _fractions(*min(points, key=_scaled_key(points))) if points else None
 
 
 def classify_facets(rc: ReesCone, normals) -> FacetClassification:
@@ -334,9 +345,8 @@ def qa_vertices_via_rees(m) -> QAPolyhedron:
 
 def is_integral_qa(m, vertices=None):
     """(True, None) when all covering-polyhedron vertices are integral,
-    else (False, lexicographically least fractional vertex).  vertices
-    is m's sorted vertex set, by default read off the Rees cone facets."""
-    for v in support_hyperplanes(m).qa_vertices() if vertices is None else vertices:
-        if any(x.denominator != 1 for x in v):
-            return False, v
-    return True, None
+    else (False, lexicographically least fractional vertex), read off the
+    vertex normals, or found in m's sorted vertex set vertices if given."""
+    v = (support_hyperplanes(m).least_fractional_vertex() if vertices is None else
+         next((v for v in vertices if any(x.denominator != 1 for x in v)), None))
+    return v is None, v

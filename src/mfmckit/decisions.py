@@ -29,7 +29,7 @@ from .clutters import (
     minimal_vertex_covers,
     packing_property,
 )
-from .cones import classify_facets, facet_normals, is_integral_qa, rees_cone
+from .cones import classify_facets, facet_normals, rees_cone
 from .errors import InconsistencyError, Record, SizeLimit
 from .hilbert import basis_and_facets, normality, smith_invariants
 from .ideals import (_as_clutter, _column_sums, _symbolic_points, closure_power, ideal_equal,
@@ -42,12 +42,12 @@ TDI_BOX_CAP = 1_000_000
 class Analysis:
     """The Rees-cone objects of one clutter, each computed on first use
     and kept: the Rees cone, its facets, whether Q(A) is integral (read
-    off the vertex normals), its vertex list (only to be printed, or for
-    a witness or a gap's rational value), the minimal vertex covers, the
-    Hilbert basis (its pass also fills the facets) and the powers, the
-    closure powers read off the basis, or the kept I^i when R[It] is
-    normal; ntf_check streams a symbolic power that is not kept, and
-    keeps none."""
+    off the vertex normals, which also name its least fractional vertex),
+    its vertex list (only to be printed, cross-checked, or for a gap's
+    rational value), the minimal vertex covers, the Hilbert basis (its
+    pass also fills the facets) and the powers, the closure powers read
+    off the basis, or the kept I^i when R[It] is normal; ntf_check
+    streams a symbolic power that is not kept, and keeps none."""
 
     POWERS = {
         "ordinary": lambda a, i: ordinary_power(a.clutter.matrix, i),
@@ -232,7 +232,7 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     c = a.clutter
     # {fact: (holds, witness)} in Verdict field order; a fact set again keeps its place
     facts = {"normal": normality(a.rees, a.basis),
-             "integral": (True, None) if a.integral else is_integral_qa(c.matrix, a.vertices)}
+             "integral": (a.integral, a.facets.least_fractional_vertex())}
     mfmc = facts["normal"][0] and facts["integral"][0]
     smith = smith_invariants(c.matrix)
     # MFMC at weights 0, 1 and large is Koenig on every minor, and I is

@@ -195,7 +195,7 @@ class SmithInvariants(Record):
 
 def smith_invariants(m) -> SmithInvariants:
     """Invariant factors of the lifted generator matrix [(v_j, 1)]."""
-    rows = [m.row(i) for i in range(m.n)]
+    rows = list(zip(*m.columns))
     rows.append((1,) * m.q)
     factors = smith_invariant_factors(rows)
     return SmithInvariants(factors, len(factors), all(f == 1 for f in factors))

@@ -86,15 +86,18 @@ def _scaled_solve(a):
 def smith_invariant_factors(rows):
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Reduce the row and column of a least non-zero entry by it; a remainder
-    is a smaller pivot.  A lone pivot dividing every entry is the next
-    factor, and its row and column go; otherwise a row it does not divide
-    is added to its own.  Zero factors are not reported: the rank is the
+    A unit pivot, taken first, is a factor 1 once row operations clear its
+    column, as column operations then change only its row.  Otherwise
+    reduce the row and column of a least non-zero entry by it; a remainder
+    is a smaller pivot, and a lone pivot dividing every entry is the next
+    factor, or a row it does not divide is added to its own.  A factor's
+    row and column go.  Zero factors are not reported: the rank is the
     number of factors returned."""
     a = [list(r) for r in rows]
     factors = []
     while any(map(any, a)):
-        p = min(filter(None, chain.from_iterable(a)), key=abs)
+        p = (next((u for row in a for u in (1, -1) if u in row), None)
+             or min(filter(None, chain.from_iterable(a)), key=abs))
         pivot = next(row for row in a if p in row)
         j = pivot.index(p)
         while True:
@@ -102,21 +105,23 @@ def smith_invariant_factors(rows):
                 if row is not pivot and row[j]:
                     q = row[j] // p
                     row[:] = [x - q * y for x, y in zip(row, pivot)]
-            for c, x in enumerate(pivot):
-                if c != j and x:
-                    q = x // p
-                    for row in a:
-                        row[c] -= q * row[j]
-            if any(row[j] for row in a if row is not pivot) or sum(map(bool, pivot)) > 1:
-                break
-            bad = abs(p) > 1 and next((row for row in a if any(x % p for x in row)), None)
-            if not bad:
-                factors.append(abs(p))
-                a = [row for row in a if row is not pivot]
-                for row in a:
-                    del row[j]
-                break
-            pivot[:] = [x + y for x, y in zip(pivot, bad)]
+            if abs(p) > 1:
+                for c, x in enumerate(pivot):
+                    if c != j and x:
+                        q = x // p
+                        for row in a:
+                            row[c] -= q * row[j]
+                if any(row[j] for row in a if row is not pivot) or sum(map(bool, pivot)) > 1:
+                    break
+                bad = next((row for row in a if any(x % p for x in row)), None)
+                if bad:
+                    pivot[:] = [x + y for x, y in zip(pivot, bad)]
+                    continue
+            factors.append(abs(p))
+            a = [row for row in a if row is not pivot]
+            for row in a:
+                del row[j]
+            break
     return tuple(factors)
 
 

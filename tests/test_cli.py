@@ -2,9 +2,13 @@ import hashlib
 import io
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mfmckit
 from mfmckit import ideals, linalg
 from mfmckit.cli import main
 from mfmckit.errors import (
@@ -614,3 +618,23 @@ def test_a_usage_error_leaves_the_next_call_unchanged(capsys, triangle_file):
     assert exc.value.code == 2
     capsys.readouterr()
     assert run(capsys, ["mfmc", triangle_file]) == first
+
+
+# ---------------------------------------------------------------- python -O
+
+
+@pytest.mark.parametrize("argv", [["mfmc"], ["analyze", "--format", "json"]],
+                         ids=["mfmc", "analyze-json"])
+def test_optimized_interpreter_prints_the_same(capsys, tmp_path, argv):
+    # python -O strips every assert, so no answer may rest on one
+    src = str(Path(mfmckit.__file__).parent.parent)
+    for name, text in (("triangle", TRIANGLE_NATIVE), ("c5", C5_NATIVE)):
+        path = tmp_path / f"{name}.in"
+        path.write_text(text)
+        rc, out, err = run(capsys, [*argv, str(path)])
+        optimized = subprocess.run(
+            [sys.executable, "-O", "-B", "-m", "mfmckit.cli", *argv, str(path)],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env={"PYTHONPATH": src, "PATH": ""})
+        assert (optimized.returncode, optimized.stdout, optimized.stderr) == (rc, out, err)
+        assert rc == 0 and "mfmc" in out

@@ -331,6 +331,22 @@ def test_is_integral(reference_matrix, triangle):
     assert is_integral_qa(ExponentMatrix(((1,),))) == (True, None)
 
 
+@pytest.mark.parametrize("family", ["random100", "general"])
+def test_least_fractional_vertex_is_the_oracle_witness(family, random100):
+    # read off the vertex normals, the witness is the first fractional entry
+    # of the sorted basic-solution vertices, on 0/1 and on general matrices
+    mats = ([c.matrix for c in random100] if family == "random100"
+            else random_exponent_matrices(150, seed=20261018))
+    found = [is_integral_qa(m) for m in mats]
+    assert found == [is_integral_qa(m, qa_vertices_direct(m).vertices) for m in mats]
+    # some witness sorts after an integral vertex, and some polyhedra have
+    # fractional entries of two denominators, which the scaled keys order
+    fractional = [(support_hyperplanes(m), w) for m, (ok, w) in zip(mats, found) if not ok]
+    assert any(fc.qa_vertices()[0] != w for fc, w in fractional)
+    assert any(len({x.denominator for v in fc.qa_vertices() for x in v} - {1}) > 1
+               for fc, _ in fractional)
+
+
 def test_vertex_to_facet_normal():
     half = Fraction(1, 2)
     assert vertex_to_facet_normal((half, half, half)) == (1, 1, 1, -2)

@@ -632,12 +632,12 @@ def test_decisions_skip_basic_solution_vertices(monkeypatch, random100, tmp_path
     failing = fractional = 0
     for k, c in enumerate(random100[:10], start=1):
         # the covers serve only the witnesses of a clutter without MFMC, and
-        # the vertex list only the witness of a fractional one
+        # the witness of a fractional one is read off its vertex normals
         verdict = decide_mfmc(c, i_max=2)
         failing += not verdict.mfmc
         fractional += not verdict.integral
         assert calls["minimal_vertex_covers"] == failing
-        assert calls["qa_vertices"] == fractional
+        assert calls["qa_vertices"] == 0
         # one Rees cone and one double description pass per verdict
         assert calls["rees_cone"] == calls["_dd_steps"] == k
     assert 0 < fractional <= failing < 10
@@ -649,7 +649,7 @@ def test_decisions_skip_basic_solution_vertices(monkeypatch, random100, tmp_path
     assert main(["mfmc", str(path), "--imax", "2"]) == 0
     assert "mfmc: false" in capsys.readouterr().out
     assert calls["rees_cone"] == calls["_dd_steps"] == cones_before + 1
-    assert calls["qa_vertices"] == fractional + 1  # C5 is fractional
+    assert calls["qa_vertices"] == 0  # C5 is fractional, and builds no list either
     assert calls["qa_vertices_direct"] == calls["minor"] == 0
     assert calls["semigroup_member"] == calls["matching_number"] == 0
     assert calls["support_hyperplanes"] == calls["hilbert_basis"] == 0
@@ -847,6 +847,27 @@ def test_mfmc_integral_witness_is_the_least_fractional_vertex(random100):
         v = decide_mfmc(c, i_max=2)
         assert (v.integral, v.witnesses.get("integral")) == is_integral_qa(
             c.matrix, qa_vertices_direct(c.matrix).vertices)
+
+
+def test_mfmc_builds_no_fraction_list(monkeypatch, random100, tmp_path, capsys):
+    # every vertex list, read off the facets or by basic solutions, is built
+    # by _sorted_fractions; decide_mfmc and the mfmc command build none, also
+    # where they name a fractional vertex
+    lists = []
+    sorted_fractions = cones._sorted_fractions
+
+    def counted(points):
+        lists.append(points)
+        return sorted_fractions(points)
+    monkeypatch.setattr(cones, "_sorted_fractions", counted)
+    verdicts = [decide_mfmc(c, i_max=2) for c in random100]
+    path = tmp_path / "c5.in"
+    path.write_text("edge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 1 5\n")
+    assert main(["mfmc", str(path), "--imax", "2"]) == 0
+    assert "witness: 1/2 1/2 1/2 1/2 1/2" in capsys.readouterr().out
+    assert lists == []
+    assert sum("integral" in v.witnesses for v in verdicts) == 32
+    assert Analysis(random100[0]).vertices and len(lists) == 1  # the counter counts
 
 
 def test_searches_leave_no_reference_cycles(triangle, monkeypatch):

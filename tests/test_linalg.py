@@ -134,12 +134,37 @@ def test_smith_diag_and_torsion():
     assert smith_invariant_factors([[0, 0], [0, 0]]) == ()
 
 
+@pytest.mark.parametrize("rows, factors", [
+    ([[-1]], (1,)),
+    ([[2, -1], [4, 6]], (1, 16)),
+    ([[0, -1, 0], [3, 0, 6]], (1, 3)),
+    ([[-2, -1], [-1, -2]], (1, 3)),
+    ([[2, 3], [4, 5]], (1, 2)),
+    ([[2, 3, 0], [4, 7, 0], [6, 9, 4]], (1, 2, 4)),
+    ([[0, 0, 0, 0], [0, 1, 0, 2], [0, 0, 0, 0], [0, 3, 0, -1]], (1, 7)),
+    ([[0, 1], [0, 0], [1, 0]], (1, 1)),
+    ([[0, 0, -1], [0, 0, 0], [2, 0, 4]], (1, 2)),
+    ([[0, 2, 0], [1, 0, 0], [0, 0, 0], [0, 4, 6]], (1, 2, 6)),
+], ids=["minus-one", "only-minus-one", "minus-one-zero-column", "minus-ones",
+        "unit-after-a-step", "unit-after-a-step-3x3", "zero-rows-and-columns",
+        "unit-columns-zero-row", "minus-one-zero-column-and-row", "unit-then-torsion"])
+def test_smith_unit_pivots(rows, factors):
+    # a unit pivot is cleared by row operations alone: cases where the only
+    # unit is -1, where a unit appears only after a non-unit step, and where
+    # zero rows and columns sit among the units
+    assert snf_by_minors(rows) == factors
+    assert smith_invariant_factors(rows) == factors
+
+
 def test_smith_against_minor_gcds():
     for seed in range(120):
         rng = random.Random(seed)
-        m, w = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [[rng.randint(-4, 4) for _ in range(w)] for _ in range(m)]
-        assert tuple(sorted(smith_invariant_factors(rows))) == snf_by_minors(rows)
+        m, w = rng.randint(1, 6), rng.randint(1, 8)
+        rows = [[rng.randint(-3, 3) for _ in range(w)] for _ in range(m)]
+        factors, minors = smith_invariant_factors(rows), snf_by_minors(rows)
+        # returned in the divisibility order, not only as the right multiset
+        assert tuple(sorted(factors)) == minors
+        assert factors == minors
 
 
 def test_smith_divisibility_chain():

@@ -23,6 +23,7 @@ from mfmckit.cones import (
     attach_facets,
     cone_member,
     dualize,
+    is_integral_qa,
     qa_vertices_direct,
     rees_cone,
     support_hyperplanes,
@@ -224,6 +225,15 @@ def test_vertices_and_facets_are_two_views(c):
     fc = support_hyperplanes(c.matrix)
     verts = qa_vertices_direct(c.matrix).vertices
     assert {vertex_to_facet_normal(v) for v in verts} == set(fc.vertex_normals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clutters(max_n=5, max_q=5))
+def test_integral_witness_is_the_least_fractional_basic_solution(c):
+    oracle = is_integral_qa(c.matrix, qa_vertices_direct(c.matrix).vertices)
+    assert is_integral_qa(c.matrix) == oracle
+    verdict = decisions.decide_mfmc(c, i_max=2)
+    assert (verdict.integral, verdict.witnesses.get("integral")) == oracle
 
 
 @settings(max_examples=40, deadline=None)
