@@ -1,8 +1,9 @@
 """Verdicts: MFMC decision, bounded TDI and torsion checks, scans.
 
-The MFMC verdict is the conjunction of two facts read off the Rees
-cone: the covering polyhedron has integral vertices (its vertex facets)
-and the Rees algebra is normal (Hilbert basis check).  By the same
+The MFMC verdict is the conjunction of two facts, each read once in
+Analysis off one placing pass over the Rees cone: the covering
+polyhedron has integral vertices (its vertex normals) and the Rees
+algebra is normal (its Hilbert basis).  By the same
 theorem the ideal is normally torsion free and gr_I(R) reduced exactly
 then, and every minor is Koenig; the searches run only to find
 witnesses, and a certificate stands in for the ntf witness past i_max.
@@ -29,9 +30,9 @@ from .clutters import (
     minimal_vertex_covers,
     packing_property,
 )
-from .cones import classify_facets, facet_normals, rees_cone
+from .cones import classify_facets, rees_cone
 from .errors import InconsistencyError, Record, SizeLimit
-from .hilbert import basis_and_facets, normality, smith_invariants
+from .hilbert import basis_and_facets, is_normal, smith_invariants
 from .ideals import (_as_clutter, _column_sums, _symbolic_points, closure_power, ideal_equal,
                      ordinary_power, symbolic_power)
 from .linalg import dot
@@ -41,18 +42,17 @@ TDI_BOX_CAP = 1_000_000
 
 class Analysis:
     """The Rees-cone objects of one clutter, each computed on first use
-    and kept: the Rees cone, its facets, whether Q(A) is integral (read
-    off the vertex normals, which also name its least fractional vertex),
-    its vertex list (only to be printed, cross-checked, or for a gap's
-    rational value), the minimal vertex covers, the Hilbert basis (its
-    pass also fills the facets) and the powers, the closure powers read
-    off the basis, or the kept I^i when R[It] is normal; ntf_check
-    streams a symbolic power that is not kept, and keeps none."""
+    and kept: the Rees cone, its Hilbert basis and facets from one placing
+    pass, the two facts as (holds, witness) pairs, normal read off the
+    basis and integral off the vertex normals, the minimal vertex covers
+    and the powers, the closure powers read off the basis, or the kept
+    I^i when R[It] is normal; ntf_check streams a symbolic power that is
+    not kept, and keeps none."""
 
     POWERS = {
         "ordinary": lambda a, i: ordinary_power(a.clutter.matrix, i),
         "symbolic": lambda a, i: symbolic_power(a.clutter, i, a.covers),
-        "closure": lambda a, i: (a.power("ordinary", i) if normality(a.rees, a.basis)[0]
+        "closure": lambda a, i: (a.power("ordinary", i) if a.normal[0]
                                  else closure_power(a.clutter.matrix, i, a.basis)),
     }
 
@@ -65,28 +65,29 @@ class Analysis:
         return rees_cone(self.clutter.matrix)
 
     @cached_property
+    def _placing(self) -> tuple:
+        return basis_and_facets(self.rees)
+
+    @cached_property
+    def basis(self) -> tuple:
+        return self._placing[0]
+
+    @cached_property
     def facets(self):
-        return classify_facets(self.rees, facet_normals(self.rees.cone))
+        return classify_facets(self.rees, self._placing[1])
 
     @cached_property
-    def vertices(self) -> tuple:
-        return self.facets.qa_vertices()
+    def normal(self) -> tuple:
+        return is_normal(self.clutter.matrix, self.basis)
 
     @cached_property
-    def integral(self) -> bool:
-        # a vertex normal (alpha', -b) is primitive, so alpha'/b is
-        # integral exactly when b = 1
-        return all(f[-1] == -1 for f in self.facets.vertex_normals)
+    def integral(self) -> tuple:
+        v = self.facets.least_fractional_vertex()
+        return v is None, v
 
     @cached_property
     def covers(self) -> tuple:
         return minimal_vertex_covers(self.clutter)
-
-    @cached_property
-    def basis(self) -> tuple:
-        basis, normals = basis_and_facets(self.rees)
-        self.__dict__.setdefault("facets", classify_facets(self.rees, normals))
-        return basis
 
     def power(self, kind: str, i: int):
         """I^i, I^(i) or the integral closure of I^i, by kind in POWERS."""
@@ -178,10 +179,10 @@ def ntf_check(source, i_max: int = 3) -> NtfResult:
 def tdi_bounded_check(source, bound: int = 2) -> TdiReport:
     """Exact duality-gap scan over the demand box {0..bound}^n.
 
-    The rational optimum of max{<1,y> : y >= 0, A y <= alpha} is read
-    off the vertices of the dual feasible region {x >= 0 : x A >= 1};
-    the integral optimum comes from a DP over the box in index order.
-    Stops at the first gap."""
+    The rational optimum of max{<1,y> : y >= 0, A y <= alpha} is the least
+    <alpha, v> over the vertices v = alpha'/b of the dual feasible region
+    {x >= 0 : x A >= 1}, read off their normals (alpha', -b); the integral
+    optimum comes from a DP over the box in index order.  Stops at the first gap."""
     a = as_analysis(source)
     n = a.clutter.n
     require_tdi_box(n, bound)
@@ -199,12 +200,12 @@ def tdi_bounded_check(source, bound: int = 2) -> TdiReport:
         # a gap: top < <alpha, v> at every vertex v = alpha'/b of Q(A), tested as
         # <alpha, alpha'> - top b > 0 on its normal (alpha', -b); dot stops at the lift
         if all(dot(alpha, f) + top * f[-1] > 0 for f in a.facets.vertex_normals):
-            rational = min(dot(alpha, v) for v in a.vertices)
+            rational = min(Fraction(dot(alpha, f), -f[-1]) for f in a.facets.vertex_normals)
             return TdiReport(bound, checked, TdiCounterexample(alpha, rational, top))
     return TdiReport(bound, checked)
 
 
-def _ntf_certificate(a: Analysis, facts) -> tuple:
+def _ntf_certificate(a: Analysis) -> tuple:
     """(i, w) with x^w in I^(i) but not in I^i, for a clutter without MFMC.
 
     A non-normal witness z = (w, i) is a lattice point of the Rees cone
@@ -214,10 +215,10 @@ def _ntf_certificate(a: Analysis, facts) -> tuple:
     with <col, v> = 1 and e_k for v_k = 0.  v is then the unique minimiser
     of <w, x> over Q(A), so the least w-weight i of a minimal cover
     exceeds <w, v>, and x^w lies in I^(i) but outside the closure of I^i."""
-    normal, z = facts["normal"]
+    normal, z = a.normal
     if not normal:
         return z[-1], z[:-1]
-    _, v = facts["integral"]
+    _, v = a.integral
     w = [int(x == 0) for x in v]
     for col in a.clutter.matrix.columns:
         if dot(col, v) == 1:
@@ -231,8 +232,7 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
     a = as_analysis(source)
     c = a.clutter
     # {fact: (holds, witness)} in Verdict field order; a fact set again keeps its place
-    facts = {"normal": normality(a.rees, a.basis),
-             "integral": (a.integral, a.facets.least_fractional_vertex())}
+    facts = {"normal": a.normal, "integral": a.integral}
     mfmc = facts["normal"][0] and facts["integral"][0]
     smith = smith_invariants(c.matrix)
     # MFMC at weights 0, 1 and large is Koenig on every minor, and I is
@@ -251,7 +251,7 @@ def decide_mfmc(source, i_max: int = 3, minor_cap: int = MINOR_CAP) -> Verdict:
         ntf = ntf_check(a, i_max)
         witness = ntf.failed_i, ntf.witness
         if ntf.ok:
-            witness = _ntf_certificate(a, facts)
+            witness = _ntf_certificate(a)
             if witness[0] <= i_max:
                 raise InconsistencyError(
                     f"no power up to {i_max} fails, but certificate {witness} does")
@@ -268,7 +268,7 @@ def gr_reduced(source) -> bool:
     """Whether the associated graded ring is reduced: normality of the
     Rees algebra together with integrality of the covering polyhedron."""
     a = as_analysis(source)
-    return normality(a.rees, a.basis)[0] and a.integral
+    return a.normal[0] and a.integral[0]
 
 
 class EquivalenceReport(Record):
@@ -295,7 +295,7 @@ def integrality_equivalences(source, i_max: int = 3) -> EquivalenceReport:
     supposed to compute the same thing."""
     require_i_max(i_max)
     an = as_analysis(source)
-    a = an.integral
+    a = an.integral[0]
     cover_normals = {tuple(int(v in cover) for v in range(an.clutter.n)) + (-1,)
                      for cover in an.covers}
     b = set(an.facets.vertex_normals) <= cover_normals
@@ -331,8 +331,8 @@ def _scan_facts(c: Clutter) -> tuple:
     """(packing, normal, uniform, torsion_free) of one clutter; uniform
     and torsion_free are read only for a packing clutter."""
     a = Analysis(c)
-    normal = normality(a.rees, a.basis)[0]  # first: its pass fills the facets
-    if not (a.integral and (normal or packing_property(c, covers=a.covers)[0])):
+    normal = a.normal[0]
+    if not (a.integral[0] and (normal or packing_property(c, covers=a.covers)[0])):
         return False, normal, False, False
     weights = {sum(col) for col in c.matrix.columns}
     uniform = len(weights) == 1 and weights.pop() >= 2

@@ -9,8 +9,8 @@ triangulation, each simplex's volume and the facets come from one double
 description pass: each insertion step names the facets the new
 generator sees, the generators on each and the generator's pairing
 with each facet normal, and basis_and_facets returns the facets with
-the basis.  R[It] is normal exactly when the basis is the generator
-set; semigroup membership stays as the independent check.
+the basis.  R[It] is normal exactly when each lifted basis element is
+a lifted column; semigroup membership stays as the independent check.
 """
 
 from __future__ import annotations
@@ -172,19 +172,15 @@ def semigroup_member(m, z) -> bool:
     return False
 
 
-def normality(rc, basis):
-    """is_normal for the Rees cone rc, given its sorted Hilbert basis."""
-    gens = set(rc.cone.generators)
-    return next(((False, z) for z in basis if z not in gens), (True, None))
-
-
 def is_normal(m, basis=None):
     """(True, None) when the Hilbert basis is the generator set, else
     (False, least basis element that is not a generator): an irreducible
     sum of generators is a generator, so semigroup_member, the oracle,
-    fails exactly there.  basis, when given, is m's sorted Hilbert basis."""
-    rc = rees_cone(m)
-    return normality(rc, basis or basis_and_facets(rc)[0])
+    fails exactly there.  basis, when given, is m's sorted Hilbert basis;
+    its elements of lift 0 are the unit vectors, so no Rees cone is built."""
+    lifted = {c + (1,) for c in m.columns}
+    return next(((False, z) for z in basis or hilbert_basis(m) if z[-1] and z not in lifted),
+                (True, None))
 
 
 class SmithInvariants(Record):

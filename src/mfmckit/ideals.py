@@ -15,9 +15,8 @@ from math import comb
 from operator import add, le
 
 from .clutters import Clutter, minimal_vertex_covers
-from .cones import rees_cone
 from .errors import NotSquareFree, Record, SizeLimit
-from .hilbert import basis_and_facets
+from .hilbert import hilbert_basis, is_normal
 from .linalg import _plane_points
 
 ORDINARY_CAP = 500_000
@@ -109,11 +108,10 @@ def closure_power(m, i: int, basis=None) -> MonomialIdealGens:
     I^i."""
     if i < 1:
         raise ValueError("power must be >= 1")
-    if basis is None:
-        basis = basis_and_facets(rees_cone(m))[0]
-    lifted = [z for z in basis if z[-1]]
-    if set(lifted) == {c + (1,) for c in m.columns}:
+    basis = basis or hilbert_basis(m)
+    if is_normal(m, basis)[0]:
         return ordinary_power(m, i)
+    lifted = [z for z in basis if z[-1]]
     sums, count = [((0,) * m.n,)], 0
     for t in range(1, i + 1):
         steps = [(z[:-1], sums[t - z[-1]]) for z in lifted if z[-1] <= t]

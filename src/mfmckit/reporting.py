@@ -123,6 +123,9 @@ def _parse_native(lines) -> InputDocument:
             raise ParseError(no, "'#' after an edge: comments take a whole line")
         if len(toks) == 1:
             raise ParseError(no, "edge without vertices")
+        if len(set(toks)) < len(toks):  # "edge" is not among the vertices
+            twice = next(v for k, v in enumerate(toks) if v in toks[:k])
+            raise ParseError(no, f"vertex {twice!r} twice in one edge")
         edges.append(tuple(toks[1:]))
     names = sorted({v for e in edges for v in e}, key=_natural_key)
     rows = tuple(tuple(int(v in e) for v in names) for e in edges)
@@ -130,8 +133,9 @@ def _parse_native(lines) -> InputDocument:
 
 
 def parse_input(text: str) -> InputDocument:
-    """Parse either input dialect, sniffing from the first content line."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)]
+    """Parse either input dialect, sniffing from the first content line;
+    one leading byte-order mark is dropped."""
+    lines = [(no, ln) for no, ln in enumerate(text.removeprefix("\ufeff").splitlines(), start=1)]
     content = [(no, ln) for no, ln in lines
                if ln.strip() and not ln.strip().startswith("#")]
     if not content:
@@ -190,20 +194,20 @@ def analyze(doc: InputDocument, i_max: int = 3, tdi_bound: int = 0,
     a = as_analysis(doc.clutter())
     if tdi_bound:
         require_tdi_box(a.clutter.n, tdi_bound)
-    basis = a.basis  # first: its pass also fills the facets
+    basis = a.basis  # the placing pass meets its caps before any power meets its own
     powers = powers_table(a, i_max)
     verdict = decide_mfmc(a, i_max=i_max, minor_cap=minor_cap)
     for row in powers:
         if verdict.mfmc and not row.ordinary_eq_symbolic:
             raise InconsistencyError(f"MFMC holds, but power {row.i} fails")
-    direct = qa_vertices_direct(a.clutter.matrix).vertices
-    if direct != a.vertices:
+    vertices = QAPolyhedron(a.clutter.matrix, a.facets.qa_vertices())
+    direct = qa_vertices_direct(a.clutter.matrix)
+    if direct != vertices:
         raise InconsistencyError(
-            f"vertex routes disagree: {direct} vs {a.vertices}"
+            f"vertex routes disagree: {direct.vertices} vs {vertices.vertices}"
         )
     integrality_equivalences(a, i_max)
     tdi = tdi_bounded_check(a, tdi_bound) if tdi_bound else None
-    vertices = QAPolyhedron(a.clutter.matrix, a.vertices)
     return Report(doc, verdict, basis, a.facets, vertices, powers, tdi)
 
 

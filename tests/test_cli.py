@@ -254,11 +254,11 @@ def test_scan_counterexamples(capsys, monkeypatch):
 
     def sizes(m):
         return tuple(sorted(map(sum, m.columns)))
-    normality, smith = decisions.normality, decisions.smith_invariants
-    monkeypatch.setattr(decisions, "normality",
-                        lambda rc, basis: (False, None)
-                        if sizes(rc.base) in {(1, 2), (1, 1, 1)}
-                        else normality(rc, basis))
+    is_normal, smith = decisions.is_normal, decisions.smith_invariants
+    monkeypatch.setattr(decisions, "is_normal",
+                        lambda m, basis: (False, None)
+                        if sizes(m) in {(1, 2), (1, 1, 1)}
+                        else is_normal(m, basis))
     monkeypatch.setattr(decisions, "smith_invariants",
                         lambda m: SmithInvariants((1, 2), 2, False)
                         if sizes(m) == (2, 2) else smith(m))
@@ -405,6 +405,40 @@ def test_inline_comment_is_an_input_error(capsys, tmp_path):
     rc, out, err = run(capsys, ["mfmc", str(path)])
     assert (rc, out, err) == (
         2, "", "input error: line 1: '#' after an edge: comments take a whole line\n")
+
+
+def test_repeated_vertex_in_an_edge_is_an_input_error(capsys, tmp_path):
+    # merged, "edge a a b" would be the edge {a, b}, with the facets of {a, b}, {c}
+    path = tmp_path / "repeated.in"
+    path.write_text("edge a a b\nedge c\n")
+    rc, out, err = run(capsys, ["facets", str(path)])
+    assert (rc, out, err) == (2, "", "input error: line 1: vertex 'a' twice in one edge\n")
+
+
+@pytest.mark.parametrize("text", [TRIANGLE_NATIVE, REFERENCE_INPUT], ids=["native", "normaliz"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_leading_byte_order_mark_is_dropped(capsys, monkeypatch, tmp_path, text, source):
+    # the input reads as it does without the mark; a second mark is content
+    plain = tmp_path / "plain.in"
+    plain.write_text(text)
+    expected = run(capsys, ["analyze", str(plain)])
+    assert expected[0] == 0
+    for marks, want in [(1, expected), (2, None)]:
+        data = b"\xef\xbb\xbf" * marks + text.encode()
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            argv = ["analyze", "-"]
+        else:
+            marked = tmp_path / "marked.in"
+            marked.write_bytes(data)
+            argv = ["analyze", str(marked)]
+        got = run(capsys, argv)
+        if want is None:
+            first = text.split()[0]
+            assert got == (2, "", f"input error: line 1: unrecognized input starting with "
+                                  f"{chr(0xFEFF) + first!r}\n")
+        else:
+            assert got == want
 
 
 @pytest.mark.parametrize("make, reason", [

@@ -715,11 +715,11 @@ def test_analysis_reads_basis_and_facets_off_one_pass(monkeypatch, random100,
     for k, (c, (facets, basis)) in enumerate(zip(family, expected), start=1):
         first = Analysis(c)
         assert (first.basis, first.facets) == (basis, facets)
-        # basis first: one pass; facets first: the facet-only pass, then the basis
-        assert calls["_dd_steps"] == 3 * k - 2
+        # one pass, whichever is read first
+        assert calls["_dd_steps"] == 2 * k - 1
         second = Analysis(c)
         assert (second.facets, second.basis) == (facets, basis)
-        assert calls["_dd_steps"] == 3 * k
+        assert calls["_dd_steps"] == 2 * k
         assert calls["rees_cone"] == 2 * k
     assert calls["support_hyperplanes"] == calls["hilbert_basis"] == 0
 
@@ -833,13 +833,14 @@ def test_scan_past_the_relabel_cap_analyses_each_copy(monkeypatch):
     ids=["1x4", "2x2", "3x3", "3xall", "4x4", "5x3", "5x4", "random100"])
 def test_integrality_by_lift_matches_the_vertex_denominators(bounds, fractional,
                                                                random100):
-    # a vertex normal's lift is -1 exactly when its vertex is integral; the
+    # a vertex normal's lift is -1 exactly when its vertex is integral, and
+    # the least lift below -1 names the least fractional vertex; the
     # denominators of the basic-solution vertices are the oracle
     family = random100 if bounds is None else list(enumerate_clutters(*bounds))
     lifted = [Analysis(c).integral for c in family]
-    assert lifted == [is_integral_qa(c.matrix, qa_vertices_direct(c.matrix).vertices)[0]
+    assert lifted == [is_integral_qa(c.matrix, qa_vertices_direct(c.matrix).vertices)
                       for c in family]
-    assert lifted.count(False) == fractional
+    assert [holds for holds, _ in lifted].count(False) == fractional
 
 
 def test_mfmc_integral_witness_is_the_least_fractional_vertex(random100):
@@ -867,7 +868,29 @@ def test_mfmc_builds_no_fraction_list(monkeypatch, random100, tmp_path, capsys):
     assert "witness: 1/2 1/2 1/2 1/2 1/2" in capsys.readouterr().out
     assert lists == []
     assert sum("integral" in v.witnesses for v in verdicts) == 32
-    assert Analysis(random100[0]).vertices and len(lists) == 1  # the counter counts
+    assert Analysis(random100[0]).facets.qa_vertices() and len(lists) == 1  # the counter counts
+
+
+def test_tdi_check_builds_no_fraction_list(monkeypatch, random100):
+    # a gap's rational value is read off the vertex normals; the least
+    # <alpha, v> over the basic-solution vertices is the oracle
+    oracle = {c: qa_vertices_direct(c.matrix).vertices for c in random100}
+    lists = []
+    sorted_fractions = cones._sorted_fractions
+
+    def counted(points):
+        lists.append(points)
+        return sorted_fractions(points)
+    monkeypatch.setattr(cones, "_sorted_fractions", counted)
+    gaps = 0
+    for c in random100:
+        gap = tdi_bounded_check(c, 2).counterexample
+        if gap is not None:
+            gaps += 1
+            assert gap.rational_value == min(dot(gap.alpha, v) for v in oracle[c])
+            assert gap.integral_value < gap.rational_value
+    # every one of the 32 clutters with a fractional vertex has a gap in the box
+    assert lists == [] and gaps == 32
 
 
 def test_searches_leave_no_reference_cycles(triangle, monkeypatch):

@@ -271,12 +271,12 @@ def test_class_scan_reports_what_the_labelled_scan_does(max_vertices, max_edges,
     # relabelling keeps): torsion when q % 2 == torsion, a non-normal Rees
     # algebra when q % 3 == abnormal; the class scan then lists every member
     # of the failing classes, in walk order
-    normality, smith = decisions.normality, decisions.smith_invariants
+    is_normal, smith = decisions.is_normal, decisions.smith_invariants
     with mock.patch.object(decisions, "smith_invariants",
                            lambda m: SmithInvariants((2,), 1, False)
                            if m.q % 2 == torsion else smith(m)), \
-            mock.patch.object(decisions, "normality",
-                              lambda rc, basis: (False, None)
-                              if rc.base.q % 3 == abnormal else normality(rc, basis)):
+            mock.patch.object(decisions, "is_normal",
+                              lambda m, basis: (False, None)
+                              if m.q % 3 == abnormal else is_normal(m, basis)):
         assert (decisions.class_scan(max_vertices, max_edges)
                 == decisions.conjecture_scan(enumerate_clutters(max_vertices, max_edges)))

@@ -42,6 +42,24 @@ def test_every_top_level_definition_is_used():
     assert len(SOURCES) > 1 and unused == []
 
 
+def test_every_module_level_import_is_read():
+    # an imported name that the module never reads is left over from a
+    # removed route; __init__.py imports only to export
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{alias.asname or alias.name}"
+                   for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in read]
+    assert len(SOURCES) > 1 and unused == []
+
+
 def test_every_cap_is_documented():
     # every exponential loop has a named cap, and README.md names each one
     readme = (Path(__file__).parent.parent / "README.md").read_text()
@@ -82,11 +100,13 @@ def test_the_cli_parser_is_built_only_at_import():
 
 
 def test_decisions_build_the_rees_cone_only_in_analysis():
-    # Analysis builds the Rees cone once and runs its passes; a call of any
-    # of these elsewhere in decisions.py would build the cone again
+    # Analysis builds the Rees cone once, runs its pass and reads each fact
+    # off it; a call of any of these elsewhere in decisions.py would build
+    # the cone again or read a fact a second way
     tree = ast.parse((Path(mfmckit.__file__).parent / "decisions.py").read_text())
     builders = {"rees_cone", "support_hyperplanes", "hilbert_basis",
-                "facet_normals", "basis_and_facets"}
+                "facet_normals", "basis_and_facets", "is_normal", "classify_facets",
+                "least_fractional_vertex"}
 
     def builds(node):
         return sum(isinstance(n, ast.Call)
