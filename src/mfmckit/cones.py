@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import index
+from operator import index, le
 
 from .errors import ClassificationError, Record, SizeLimit, ZeroCone
 from .linalg import _scaled_solve, dot, primitive
@@ -299,16 +299,19 @@ class QAPolyhedron(Record):
 
 
 def qa_vertices_direct(m) -> QAPolyhedron:
-    """Vertices by basic-feasible-solution enumeration.
+    """Vertices by basic-feasible-solution enumeration, each sought at its
+    own support.
 
-    A basic solution makes n of the n + q constraint rows tight: the unit
-    rows off a support T and k = |T| edge rows S, so x = 0 off T and
-    A[S, T] x_T = 1.  Each of the C(n+q, n) choices is solved as that
-    k x k integer system, d x_T by a fraction-free elimination, and the
-    feasible unique solutions are the vertices.  A support missing some
-    column's support is skipped unsolved: that column pairs to 0 < 1
-    with every point zero off T, so no such point is feasible.
-    Independent of the Rees-cone route by construction.
+    A vertex x with support T makes the unit rows off T tight, and k = |T|
+    independent edge rows S, so A[S, T] x_T = 1.  As x_T > 0, a restricted
+    row c|_T lying above another is strictly larger there, so never tight.
+    So each support keeps only its distinct minimal restricted rows (for a
+    clutter, the edges of the minor contracting every vertex off T); each k
+    of them is solved as a k x k integer system, d x_T by a fraction-free
+    elimination, and a solution is a vertex when x_T > 0 and it meets every
+    minimal row, hence every row.  A support missing some column's support
+    is skipped unsolved: that column pairs to 0 < 1 with every point zero
+    off T.  Independent of the Rees-cone route by construction.
     """
     n, q = m.n, m.q
     if (total := comb(n + q, n)) > QA_ENUM_CAP:
@@ -317,18 +320,19 @@ def qa_vertices_direct(m) -> QAPolyhedron:
     found = set()
     for k in range(min(n, q) + 1):
         for t in itertools.combinations(range(n), k):
-            sub = [[c[i] for i in t] for c in cols]
+            sub = dict.fromkeys(tuple(c[i] for i in t) for c in cols)
             if not all(map(any, sub)):
                 continue
-            for s in itertools.combinations(sub, k):
-                solved = _scaled_solve([r + [1] for r in s])
+            rows = [r for r in sub if not any(o != r and all(map(le, o, r)) for o in sub)]
+            for s in itertools.combinations(rows, k):
+                solved = _scaled_solve([[*r, 1] for r in s])
                 if solved is None:
                     continue
                 d, x = solved
                 x = [row[0] for row in x]
                 if d < 0:
                     d, x = -d, [-v for v in x]
-                if min(x, default=0) >= 0 and all(dot(c, x) >= d for c in sub):
+                if min(x, default=1) > 0 and all(dot(c, x) >= d for c in rows):
                     # the point as its primitive (d, d x), one key per vertex
                     g = gcd(d, *x)
                     point = [0] * n

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
 
-from mfmckit import cones
-from mfmckit.clutters import ExponentMatrix
+from mfmckit import cones, hilbert
+from mfmckit.clutters import ExponentMatrix, clutter_from_edges
 from mfmckit.cones import (
     FacetClassification,
     RationalCone,
@@ -241,11 +242,62 @@ def test_both_vertex_routes_agree(reference_matrix, triangle, two_star, random10
         assert qa_vertices_direct(m).vertices == qa_vertices_via_rees(m).vertices
 
 
+@cache
+def oracle_vertices(m):
+    # the full-subset oracle, kept per matrix for the tests that share inputs
+    return basic_solution_vertices(m.n, m.columns)
+
+
 def test_reduced_systems_match_the_full_subset_oracle(random100):
-    # each support T is solved as the k x k system on its edge rows
-    mats = [c.matrix for c in random100] + random_exponent_matrices(150)
+    # each support T is solved as the k x k systems on its minimal restricted
+    # rows; the first inputs restrict to rows on T = {0, 1} that lie above
+    # one another ((1, 2) over (0, 1); (2, 2) over (1, 0) and (0, 1)) or
+    # repeat ((1, 1) twice)
+    mats = [ExponentMatrix(cols) for cols in (
+        ((2, 1, 0), (1, 2, 0), (0, 1, 1)),
+        ((1, 1, 2, 0), (1, 1, 0, 2), (2, 0, 1, 1)),
+        ((3, 1, 0), (1, 3, 0), (1, 1, 1), (0, 0, 3)),
+        ((2, 2, 1), (1, 0, 2), (0, 1, 2)),
+    )]
+    mats += [c.matrix for c in random100] + random_exponent_matrices(150)
     for m in mats:
+        assert qa_vertices_direct(m).vertices == oracle_vertices(m)
+
+
+def test_each_support_solves_only_its_minimal_rows(monkeypatch, triangle, q6,
+                                                   reference_matrix):
+    # a vertex is sought only at its own support T, on the distinct minimal
+    # rows restricted to T: 4, 10, 5 and 6 systems, where solving every
+    # choice of k edge rows on every covered support took 10, 97, 49 and 76
+    solved = []
+    scaled_solve = cones._scaled_solve
+
+    def counted(a):
+        solved.append(len(a))
+        return scaled_solve(a)
+    monkeypatch.setattr(cones, "_scaled_solve", counted)
+    c5 = clutter_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    counts = []
+    for m in (triangle.matrix, q6.matrix, reference_matrix, c5.matrix):
+        solved.clear()
         assert qa_vertices_direct(m).vertices == basic_solution_vertices(m.n, m.columns)
+        counts.append(len(solved))
+    assert counts == [4, 10, 5, 6]
+
+
+def test_direct_vertices_read_nothing_of_the_rees_route(monkeypatch, random100):
+    # the cross-check in analyze is independent only if it reads none of
+    # the route it checks
+    def refused(*args, **kwargs):
+        raise AssertionError("the basic-solution route read the Rees-cone route")
+    for module, name in ((cones, "_dd_steps"), (cones, "facet_normals"),
+                         (cones, "rees_cone"), (cones, "classify_facets"),
+                         (hilbert, "basis_and_facets")):
+        monkeypatch.setattr(module, name, refused)
+    with pytest.raises(AssertionError):
+        support_hyperplanes(random100[0].matrix)  # the patches hold
+    for c in random100:
+        assert qa_vertices_direct(c.matrix).vertices == oracle_vertices(c.matrix)
 
 
 def test_vertex_lists_are_in_the_order_of_their_fractions(random100):
@@ -268,7 +320,12 @@ def test_no_edges_gives_the_origin():
 
 
 def test_vertex_routes_agree_on_larger_clutters():
-    for c in random_clutters(count=30, seed=1, max_n=8, max_q=10):
+    family = random_clutters(count=30, seed=1, max_n=8, max_q=10)
+    family += [clutter_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+               for n in (9, 10, 11)]
+    family += [clutter_from_edges(3 + b, [(i, 3 + j) for i in range(3) for j in range(b)])
+               for b in (3, 4)]
+    for c in family:
         m = c.matrix
         assert qa_vertices_direct(m).vertices == support_hyperplanes(m).qa_vertices()
 

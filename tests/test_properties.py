@@ -34,8 +34,8 @@ from mfmckit.linalg import dot
 from mfmckit.reporting import analyze, parse_input, report_from_json, report_to_json
 
 from oracles import (
-    brute_alpha0, brute_beta1, decomposes, full_power_ntf_check, slack_closure,
-    tdi_integral_max, unseeded_dd_steps, vertex_to_facet_normal)
+    basic_solution_vertices, brute_alpha0, brute_beta1, decomposes, full_power_ntf_check,
+    slack_closure, tdi_integral_max, unseeded_dd_steps, vertex_to_facet_normal)
 
 
 @st.composite
@@ -209,6 +209,14 @@ def test_closure_powers_match_the_slack_search(m, i):
     # normals, the route it replaced; a lift-1 basis element need not be a
     # generator, as (1, 1, 1) is not for (x1^2, x2^2)
     assert closure_power(m, i).gens == slack_closure(m, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(top=3))
+def test_direct_vertices_match_the_full_subset_oracle(m):
+    # general exponents restrict to rows that repeat or lie above one
+    # another on a support; only the minimal ones are solved there
+    assert qa_vertices_direct(m).vertices == basic_solution_vertices(m.n, m.columns)
 
 
 @settings(max_examples=30, deadline=None)
