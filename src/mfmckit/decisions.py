@@ -13,10 +13,8 @@ walks the minors only where the theorem leaves packing open.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
-from operator import le
 from types import MappingProxyType
 
 from .clutters import (
@@ -180,29 +178,46 @@ def tdi_bounded_check(source, bound: int = 2) -> TdiReport:
     """Exact duality-gap scan over the demand box {0..bound}^n.
 
     The rational optimum of max{<1,y> : y >= 0, A y <= alpha} is the least
-    <alpha, v> over the vertices v = alpha'/b of the dual feasible region
-    {x >= 0 : x A >= 1}, read off their normals (alpha', -b); the integral
-    optimum comes from a DP over the box in index order.  Stops at the first gap."""
+    <alpha, v> over the vertices v = alpha'/b of {x >= 0 : x A >= 1}, with
+    normals f = (alpha', -b); the integral optimum top comes from a DP over
+    the box in index order.  Each normal owns a w-bit field of one packed
+    sum, so the gap test, <(alpha, top), f> > 0 on every normal, takes three
+    integer operations.  The box is walked as heads times tails, each half
+    from a table of packed sums and zero masks: a 0/1 column lies under
+    alpha exactly when its support misses alpha's zeros.  Stops at the first gap."""
     a = as_analysis(source)
     n = a.clutter.n
     require_tdi_box(n, bound)
+    normals = a.facets.vertex_normals
     # alpha has index <alpha, radix> in the lexicographic order of
     # itertools.product, so alpha - v sits <v, radix> places back if v <= alpha
     radix = [(bound + 1) ** k for k in reversed(range(n))]
-    steps = [(v, dot(v, radix)) for v in a.clutter.matrix.columns]
-    best = []
-    for checked, alpha in enumerate(itertools.product(range(bound + 1), repeat=n), 1):
-        top = 0
-        for v, back in steps:
-            if all(map(le, v, alpha)) and best[-back] >= top:
-                top = best[-back] + 1
-        best.append(top)
-        # a gap: top < <alpha, v> at every vertex v = alpha'/b of Q(A), tested as
-        # <alpha, alpha'> - top b > 0 on its normal (alpha', -b); dot stops at the lift
-        if all(dot(alpha, f) + top * f[-1] > 0 for f in a.facets.vertex_normals):
-            rational = min(Fraction(dot(alpha, f), -f[-1]) for f in a.facets.vertex_normals)
-            return TdiReport(bound, checked, TdiCounterexample(alpha, rational, top))
-    return TdiReport(bound, checked)
+    steps = [(dot(v, [1 << k for k in range(n)]), dot(v, radix)) for v in a.clutter.matrix.columns]
+    # field j of head + tail + top lift is <(alpha, top), f_j> + 2^(w-1) - 1, kept in
+    # [0, 2^w) by top <= |alpha| <= n bound, so its high bit is set exactly at a gap
+    w = max(bound * sum(f[:-1]) - n * bound * f[-1] for f in normals).bit_length() + 2
+    high = sum(1 << w * j + w - 1 for j in range(len(normals)))
+    *packed, lift = [sum(f[k] << w * j for j, f in enumerate(normals)) for k in range(n + 1)]
+    # (packed sum, mask of the zero coordinates) of each head, over the leading n // 2
+    # coordinates, and each tail, over the rest, in product order
+    halves = [[(high - (high >> w - 1), 0)], [(0, 0)]]
+    for k in range(n):
+        halves[k >= n // 2] = [(s + x * packed[k], z | (not x) << k)
+                               for s, z in halves[k >= n // 2] for x in range(bound + 1)]
+    best, (heads, tails) = [], halves
+    for head, head_zeros in heads:
+        fit = [(m, back) for m, back in steps if not m & head_zeros]
+        for tail, zeros in tails:
+            top = 0
+            for m, back in fit:
+                if not m & zeros and best[-back] >= top:
+                    top = best[-back] + 1
+            best.append(top)
+            if (head + tail + top * lift) & high == high:
+                alpha = tuple((len(best) - 1) // r % (bound + 1) for r in radix)
+                rational = min(Fraction(dot(alpha, f), -f[-1]) for f in normals)
+                return TdiReport(bound, len(best), TdiCounterexample(alpha, rational, top))
+    return TdiReport(bound, len(best))
 
 
 def _ntf_certificate(a: Analysis) -> tuple:

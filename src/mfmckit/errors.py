@@ -68,11 +68,12 @@ class NotZeroOne(MfmcError):
 
 
 class NotAntichain(MfmcError):
-    """One generator divides another, violating minimal generation."""
+    """One generator divides another or is repeated, violating minimal generation."""
 
     def __init__(self, smaller, larger):
         self.smaller, self.larger = smaller, larger
-        super().__init__(f"generator {smaller} divides generator {larger}")
+        fault = "is repeated" if smaller == larger else f"divides generator {larger}"
+        super().__init__(f"generator {smaller} {fault}")
 
 
 class EmptyEdge(MfmcError):

@@ -415,6 +415,16 @@ def test_repeated_vertex_in_an_edge_is_an_input_error(capsys, tmp_path):
     assert (rc, out, err) == (2, "", "input error: line 1: vertex 'a' twice in one edge\n")
 
 
+@pytest.mark.parametrize("text", ["edge a b\nedge c\nedge a b\n", "3\n3\n1 1 0\n0 0 1\n1 1 0\n3\n"],
+                         ids=["native", "normaliz"])
+def test_repeated_edge_is_named_as_repeated(capsys, tmp_path, text):
+    # equal generators divide each other: the message names the repetition
+    path = tmp_path / "repeated.in"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["analyze", str(path)])
+    assert (rc, out, err) == (2, "", "input error: generator (1, 1, 0) is repeated\n")
+
+
 @pytest.mark.parametrize("text", [TRIANGLE_NATIVE, REFERENCE_INPUT], ids=["native", "normaliz"])
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_a_leading_byte_order_mark_is_dropped(capsys, monkeypatch, tmp_path, text, source):

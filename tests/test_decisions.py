@@ -361,6 +361,44 @@ def test_tdi_scan_matches_the_tuple_keyed_oracle(random100, triangle, q6,
     assert gaps == {False: 426, True: 192}
 
 
+FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+
+
+def _circulant(n, k):
+    return [tuple((v + i) % n for i in range(k)) for v in range(n)]
+
+
+@pytest.mark.parametrize("n, edges, lift, checked_at_3", [
+    (1, [(0,)], 1, 4),
+    (2, [(0, 1)], 1, 16),
+    (5, _circulant(5, 2), 2, 342),
+    (7, _circulant(7, 2), 2, 5462),
+    (7, FANO, 3, 1366),
+    (7, _circulant(7, 3), 3, 5462),
+    (6, [(i, j) for i in range(3) for j in range(3, 6)], 1, 4 ** 6),
+], ids=["edge", "n2", "C5", "C7", "fano", "C7_3", "K33"])
+def test_tdi_scan_matches_the_oracle_on_each_half_box_shape(n, edges, lift, checked_at_3):
+    # n = 1 has a head over no coordinates and odd n splits unevenly; Fano
+    # and C_7^3 have normals with b = 3, which the random families lack;
+    # K3,3 is bipartite, so its scan at B = 3 checks the last demand
+    c = clutter_from_edges(n, edges)
+    normals = support_hyperplanes(c.matrix).vertex_normals
+    assert max(-f[-1] for f in normals) == lift
+    vertices = qa_vertices_direct(c.matrix).vertices
+    for bound in (1, 2, 3):
+        checked, gap = tuple_keyed_tdi_scan(c.matrix.columns, normals, vertices, bound)
+        expected = TdiReport(bound, checked, gap and TdiCounterexample(*gap))
+        assert tdi_bounded_check(c, bound) == expected
+    assert checked == checked_at_3
+
+
+def test_tdi_scan_walks_a_half_million_demand_box():
+    # two 10-vertex edges sharing one vertex: a totally unimodular matrix, so
+    # no gap in all 2^19 demands, which walk heads of 9 and tails of 10 coordinates
+    c = clutter_from_edges(19, [range(10), range(9, 19)])
+    assert tdi_bounded_check(c, 1) == TdiReport(1, 2 ** 19)
+
+
 # the symbolic power first finds the covers, 21 search nodes on the reference
 # clutter, so its cap lets that search through
 @pytest.mark.parametrize("module, constant, value, call, stage", [

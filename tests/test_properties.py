@@ -35,7 +35,8 @@ from mfmckit.reporting import analyze, parse_input, report_from_json, report_to_
 
 from oracles import (
     basic_solution_vertices, brute_alpha0, brute_beta1, decomposes, full_power_ntf_check,
-    slack_closure, tdi_integral_max, unseeded_dd_steps, vertex_to_facet_normal)
+    slack_closure, tdi_integral_max, tuple_keyed_tdi_scan, unseeded_dd_steps,
+    vertex_to_facet_normal)
 
 
 @st.composite
@@ -225,6 +226,16 @@ def test_no_negative_duality_gap(c, data):
     alpha = data.draw(st.tuples(*[st.integers(0, 2)] * c.n))
     rational = min(dot(alpha, v) for v in qa_vertices_direct(c.matrix).vertices)
     assert rational >= tdi_integral_max(c.matrix.columns, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clutters(max_n=5, max_q=5), st.integers(1, 3))
+def test_tdi_scan_matches_the_tuple_keyed_oracle(c, bound):
+    normals = support_hyperplanes(c.matrix).vertex_normals
+    vertices = qa_vertices_direct(c.matrix).vertices
+    checked, gap = tuple_keyed_tdi_scan(c.matrix.columns, normals, vertices, bound)
+    expected = decisions.TdiReport(bound, checked, gap and decisions.TdiCounterexample(*gap))
+    assert decisions.tdi_bounded_check(c, bound) == expected
 
 
 @settings(max_examples=40, deadline=None)
