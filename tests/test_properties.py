@@ -230,7 +230,7 @@ def test_no_negative_duality_gap(c, data):
 
 @settings(max_examples=60, deadline=None)
 @given(clutters(max_n=5, max_q=5), st.integers(1, 3))
-def test_tdi_scan_matches_the_tuple_keyed_oracle(c, bound):
+def test_tdi_scan_matches_the_tuple_keyed_oracle_at_every_bound(c, bound):
     normals = support_hyperplanes(c.matrix).vertex_normals
     vertices = qa_vertices_direct(c.matrix).vertices
     checked, gap = tuple_keyed_tdi_scan(c.matrix.columns, normals, vertices, bound)
